@@ -10,6 +10,7 @@ from .fock import (
     BeamSplitterConfig,
     CutoffError,
     DensityMatrix,
+    NumericalError,
     ProcessOutcome,
     SqueezerConfig,
     TwoModeDensityMatrix,

@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fock import CutoffError, SqueezerConfig, BeamSplitterConfig, make_state, photon_distribution
+from .fock import (
+    BeamSplitterConfig,
+    CutoffError,
+    NumericalError,
+    SqueezerConfig,
+    make_state,
+    photon_distribution,
+)
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
 from .povm import DetectorConfig, click_statistics, operator_norm_distance
 from .processes import (
@@ -490,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"clickcraft: config error: {exc}", file=sys.stderr)
         return 1
-    except CutoffError as exc:
+    except (CutoffError, NumericalError) as exc:
         print(f"clickcraft: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -2,11 +2,14 @@
 
 Everything here is brute force on a finite photon-number basis |0..d-1> and
 serves as the independent cross-check for the closed-form phase-space
-pipeline.  Unitaries are built by exponentiating the truncated generator;
-both generators conserve an integer label (total photon number for the beam
-splitter, photon-number difference for the two-mode squeezer), so the
-exponential is taken block by block, which is exact and keeps the cost at
-O(d^4) instead of O(d^6).
+pipeline.  Two-mode states are weighted ket ensembles,
+rho = sum_j w_j |psi_j><psi_j|, so a d x d pair costs n d^2 amplitudes for an
+ensemble of n kets rather than d^4 matrix entries.  Unitaries are built by
+exponentiating the truncated generator; both generators conserve an integer
+label (total photon number for the beam splitter, photon-number difference
+for the two-mode squeezer), so the exponential is taken block by block, which
+is exact, and each block acts on the kets alone: O(n d^3) work and O(n d^2)
+memory per application.
 
 Truncation is never silent: state constructors fail when the requested cutoff
 leaves more than ``tail_tol`` of probability outside the basis, and the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "BeamSplitterConfig",
     "CutoffError",
     "DensityMatrix",
+    "NumericalError",
     "ProcessOutcome",
     "SqueezerConfig",
     "TwoModeDensityMatrix",
@@ -48,6 +53,11 @@ UNITARY_TAIL_TOL = 1e-8
 
 class CutoffError(Exception):
     """The requested truncation cannot represent the state to the tail tolerance."""
+
+
+class NumericalError(ValueError):
+    """A computed result is not trustworthy (e.g. a probability driven below
+    zero by cancellation); the inputs themselves were valid."""
 
 
 @dataclass(frozen=True)
@@ -135,22 +145,42 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class TwoModeDensityMatrix:
-    """Two-mode operator, entries[p, q, r, s] <-> |p><q| (x) |r><s|."""
+    """Two-mode operator rho = sum_j weights[j] |psi_j><psi_j|, with
+    kets[j, p, r] = <p, r|psi_j>.
+
+    Weights are real and may carry roundoff-sized negative values from an
+    eigendecomposition.  ``entries[p, q, r, s] <-> |p><q| (x) |r><s|`` is the
+    dense form, built on demand.
+    """
 
     cutoffs: tuple[int, int]
-    entries: np.ndarray  # (dA, dA, dB, dB) complex
+    weights: np.ndarray  # (n,) real
+    kets: np.ndarray  # (n, dA, dB) complex
+
+    @property
+    def entries(self) -> np.ndarray:
+        d_a, d_b = self.cutoffs
+        flat = self.kets.reshape(-1, d_a * d_b)
+        mat = (flat.T * self.weights) @ flat.conj()
+        return _readonly(mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3))
 
     @property
     def trace(self) -> float:
-        return float(np.einsum("ppss->", self.entries).real)
+        return float(self.weights @ (np.abs(self.kets) ** 2).sum(axis=(1, 2)))
+
+    @cached_property
+    def _detector_blocks(self) -> np.ndarray:
+        """G[m, p, q] = <p, m| rho |q, m>, the B-diagonal blocks (dB, dA, dA)."""
+        x = self.kets.transpose(2, 1, 0)  # (dB, dA, n)
+        return _readonly((x * self.weights) @ x.conj().transpose(0, 2, 1))
 
     def validate(self) -> None:
-        h = np.abs(self.entries - self.entries.conj().transpose(1, 0, 3, 2)).max()
-        if h > 1e-12:
-            raise ValueError(f"not Hermitian: max deviation {h}")
+        if not np.isrealobj(self.weights):
+            raise ValueError("not Hermitian: ensemble weights must be real")
         d_a, d_b = self.cutoffs
-        mat = self.entries.transpose(0, 2, 1, 3).reshape(d_a * d_b, d_a * d_b)
-        evals = np.linalg.eigvalsh(mat)
+        # rho = Q (R W R^dag) Q^dag with kets^T = Q R: same non-zero spectrum
+        _, r = np.linalg.qr(self.kets.reshape(-1, d_a * d_b).T)
+        evals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
         if evals.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {evals.min()}")
         if not 0.0 < self.trace <= 1.0 + 1e-12:
@@ -177,7 +207,7 @@ class ProcessOutcome:
 
     def __post_init__(self) -> None:
         if not -1e-9 <= self.probability <= 1.0 + 1e-9:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
+            raise NumericalError(f"probability {self.probability} outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +311,11 @@ def make_state(
                 f"phase-diffused pair state omega={omega} has tail {omega ** d:.3g} "
                 f"at cutoff {d}"
             )
-        ent = np.zeros((d, d, d, d), dtype=complex)
-        weights = (1.0 - omega) * omega ** np.arange(d)
-        for m in range(d):
-            ent[m, m, m, m] = weights[m]
-        return TwoModeDensityMatrix((d, d), _readonly(ent))
+        kets = np.zeros((d, d, d), dtype=complex)
+        m = np.arange(d)
+        kets[m, m, m] = 1.0
+        weights = (1.0 - omega) * omega**m
+        return TwoModeDensityMatrix((d, d), _readonly(weights), _readonly(kets))
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -329,9 +359,26 @@ def suggest_cutoff(
     return d
 
 
+def _ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, kets as rows) with rho = sum_j w_j |k_j><k_j|.
+
+    A diagonal rho keeps only its non-zero diagonal entries with basis kets;
+    anything else is eigendecomposed, keeping every signed eigenvalue.
+    """
+    diag = np.diag(rho.entries)
+    if np.array_equal(rho.entries, np.diag(diag)):
+        nz = np.flatnonzero(diag)
+        return diag[nz].real, np.eye(rho.cutoff, dtype=complex)[nz]
+    w, v = np.linalg.eigh(rho.entries)
+    return w, v.T
+
+
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> TwoModeDensityMatrix:
-    ent = np.einsum("pq,rs->pqrs", a.entries, b.entries)
-    return TwoModeDensityMatrix((a.cutoff, b.cutoff), _readonly(ent))
+    w_a, k_a = _ensemble(a)
+    w_b, k_b = _ensemble(b)
+    kets = np.einsum("ip,jr->ijpr", k_a, k_b).reshape(-1, a.cutoff, b.cutoff)
+    weights = np.outer(w_a, w_b).reshape(-1)
+    return TwoModeDensityMatrix((a.cutoff, b.cutoff), _readonly(weights), _readonly(kets))
 
 
 def photon_distribution(state: DensityMatrix) -> np.ndarray:
@@ -350,17 +397,14 @@ def _apply_blockwise(
     tail_tol: float,
     what: str,
 ) -> TwoModeDensityMatrix:
-    """rho -> U rho U^dag for U = direct sum of (indices, unitary) blocks."""
+    """|psi_j> -> U |psi_j> for U = direct sum of (indices, unitary) blocks."""
     d_a, d_b = state.cutoffs
-    dim = d_a * d_b
-    mat = state.entries.transpose(0, 2, 1, 3).reshape(dim, dim).copy()
+    flat = state.kets.reshape(-1, d_a * d_b).copy()
     for idx, u in blocks:
-        mat[idx, :] = u @ mat[idx, :]
-    for idx, u in blocks:
-        mat[:, idx] = mat[:, idx] @ u.conj().T
-    ent = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+        flat[:, idx] = flat[:, idx] @ u.T
+    kets = flat.reshape(-1, d_a, d_b)
 
-    diag = np.einsum("ppss->ps", ent).real
+    diag = np.einsum("j,jps->ps", state.weights, np.abs(kets) ** 2)
     boundary = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
     total = float(diag.sum())
     if total > 0 and boundary > tail_tol * total:
@@ -368,7 +412,7 @@ def _apply_blockwise(
             f"{what}: boundary occupancy {boundary / total:.3g} exceeds the tail "
             f"tolerance {tail_tol}; increase the cutoff"
         )
-    return TwoModeDensityMatrix(state.cutoffs, _readonly(ent))
+    return TwoModeDensityMatrix(state.cutoffs, state.weights, _readonly(kets))
 
 
 def _beam_splitter_blocks(theta: float, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -452,21 +496,21 @@ def condition_on_clicks(
 ) -> ProcessOutcome:
     """Condition mode B on a k-click event of the detector system.
 
-    Returns the unnormalized mode-A state sum_m D[k, m] rho[p, q, m, m] whose
+    Returns the unnormalized mode-A state sum_m D[k, m] <m|_B rho |m>_B whose
     trace is the probability of seeing k clicks.
     """
     if not 0 <= k <= det.N:
         raise ValueError(f"click number k={k} outside 0..{det.N}")
     d_a, d_b = state.cutoffs
     weights = click_povm_element(det, k, d_b).weights
-    out = np.einsum("pqmm,m->pq", state.entries, weights)
+    out = np.tensordot(weights, state._detector_blocks, axes=1)
     reduced = DensityMatrix(d_a, _readonly(out))
     return ProcessOutcome(state=reduced, probability=reduced.trace)
 
 
 def trace_out_detector_mode(state: TwoModeDensityMatrix) -> DensityMatrix:
     """Unconditional reduced state of mode A."""
-    out = np.einsum("pqmm->pq", state.entries)
+    out = state._detector_blocks.sum(axis=0)
     return DensityMatrix(state.cutoffs[0], _readonly(out))
 
 

@@ -67,6 +67,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cancellation_is_numerical_failure(tmp_path, capsys):
+    # the table1 amplifier at N1 = N2 = 16: the alternating click-factor
+    # expansion drives a probability below -1e-9, which is a numerical
+    # failure of valid inputs, not an invalid parameter
+    payload = json.loads((CONFIGS / "table1.json").read_text())
+    payload["addition"]["detector"]["N"] = 16
+    payload["subtraction"]["detector"]["N"] = 16
+    cfg = write_config(tmp_path, payload)
+    assert main(["amplify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "probability" in err
+
+
 def test_clickstats_vacuum(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -10,6 +10,7 @@ from clickcraft import (
     CutoffError,
     DetectorConfig,
     SqueezerConfig,
+    TwoModeDensityMatrix,
     apply_beam_splitter,
     apply_two_mode_squeezer,
     condition_on_clicks,
@@ -125,7 +126,7 @@ def test_beam_splitter_heisenberg_moments():
     assert normally_ordered_moment(rho_a, 0, 1) == pytest.approx(t * alpha, abs=1e-8)
     assert normally_ordered_moment(rho_a, 1, 1) == pytest.approx(abs(t * alpha) ** 2, abs=1e-8)
     rho_b = trace_out_detector_mode(
-        type(out)(out.cutoffs, out.entries.transpose(2, 3, 0, 1))
+        TwoModeDensityMatrix(out.cutoffs, out.weights, out.kets.transpose(0, 2, 1))
     )
     assert normally_ordered_moment(rho_b, 0, 1) == pytest.approx(r * alpha, abs=1e-8)
 
@@ -287,3 +288,39 @@ def test_jsonable_round_trip_shape():
     assert payload["cutoff"] == 12
     assert len(payload["entries"]) == 144
     assert all(len(pair) == 2 for pair in payload["entries"])
+
+
+# --- ket ensemble against the dense definition --------------------------------
+
+
+def _dense_unitary(gen):
+    # exp(G) of the full truncated two-mode generator, no block structure used
+    w, v = np.linalg.eigh(-1j * gen)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_ket_unitaries_match_dense_definition(d):
+    a1 = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+    a, b = np.kron(a1, eye), np.kron(eye, a1)
+    rho_a = make_state("displaced_thermal", d, alpha=0.4 - 0.2j, nbar=0.15, tail_tol=1e-3)
+    inp = tensor_product(rho_a, make_state("vacuum", d))
+    dense_in = np.kron(rho_a.entries, make_state("vacuum", d).entries)
+    theta, xi = math.acos(0.7), SqueezerConfig.from_mu(1.1).xi
+    bs_out = apply_beam_splitter(inp, BeamSplitterConfig(0.7), tail_tol=1.0)
+    sq_out = apply_two_mode_squeezer(inp, SqueezerConfig(xi), tail_tol=1.0)
+    cases = [(bs_out, theta * (a @ b.T - a.T @ b)), (sq_out, xi * (a.T @ b.T - a @ b))]
+    for out, gen in cases:
+        u = _dense_unitary(gen)
+        expect = (u @ dense_in @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        assert np.abs(out.entries - expect).max() < 1e-12
+
+
+def test_tensor_product_keeps_diagonal_rank():
+    d = 24
+    joint = tensor_product(make_state("thermal", d, nbar=0.5), make_state("vacuum", d))
+    assert joint.kets.shape == (d, d, d)
+    assert joint.weights.shape == (d,)
+    pairs = make_state("phase_diffused_tmsv", d, omega=0.1)
+    assert pairs.kets.shape == (d, d, d)
