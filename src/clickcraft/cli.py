@@ -10,10 +10,9 @@ names, fixed field order, 17-significant-digit decimal floats, LF line
 endings, no timestamps, so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 config parse error, 2 parameter validation error,
-3 numerical failure (a cutoff could not hold the requested tail tolerance).
-
-The environment variable CLICKCRAFT_THREADS caps internal parallelism of the
-grid evaluation; results do not depend on it.
+3 numerical failure (a cutoff could not hold the requested tail tolerance, or
+a result failed a numerical sanity check: ``CutoffError`` or
+``NumericalError``).
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,20 +54,43 @@ class ConfigError(Exception):
     """The config file is missing, malformed, or schema-incompatible."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_json(path: Path, payload: object) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _json_array(values: np.ndarray, depth: int) -> str:
+    """``values.tolist()`` laid out as ``json.dumps(..., indent=1)`` lays it
+    out at nesting ``depth``; each innermost row is one C-encoder call."""
+    if not len(values):
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    if values.ndim == 1:
+        body = json.dumps(values.tolist(), separators=("," + pad, ": "))[1:-1]
+    else:
+        body = ("," + pad).join(_json_array(row, depth + 1) for row in values)
+    return "[" + pad + body + "\n" + " " * depth + "]"
 
 
-def _csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
+def _write_json(path: Path, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``;
+    top-level numpy arrays are encoded row by row by ``_json_array``."""
+    fields = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, np.ndarray):
+            text = _json_array(value, 1)
+        else:
+            text = json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+        fields.append(f" {json.dumps(key)}: {text}")
+    _write_text(path, "{\n" + ",\n".join(fields) + "\n}\n")
+
+
+def _write_csv(path: Path, header: str, chunks: Iterable[tuple[str, list]]) -> None:
+    """Write ``header`` and then ``template % tuple(values)`` for each
+    ``(template, values)`` chunk.  A template holds whole lines, with their
+    fixed fields inline and a ``%`` slot per value, so a file costs one
+    formatting call per chunk, not one per cell."""
+    body = "".join(template % tuple(values) for template, values in chunks)
+    _write_text(path, header + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -126,31 +150,21 @@ def _mixture_from(node) -> PhaseSpaceMixture:
     raise ConfigError(f"unsupported input state kind {kind!r}")
 
 
+_GRID_FIELDS = ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im")
+
+
 def _grid_from(node) -> GridSpec:
     if not isinstance(node, dict):
         raise ConfigError("grid must be an object with extents and cell counts")
-    return GridSpec(
-        re_min=float(_require(node, "re_min")),
-        re_max=float(_require(node, "re_max")),
-        im_min=float(_require(node, "im_min")),
-        im_max=float(_require(node, "im_max")),
-        n_re=int(_require(node, "n_re")),
-        n_im=int(_require(node, "n_im")),
-    )
+    values = [_require(node, key) for key in _GRID_FIELDS]
+    return GridSpec(*map(float, values[:4]), *map(int, values[4:]))
 
 
 def _grid_from_flag(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError("--grid expects re0,re1,im0,im1,nre,nim")
-    return GridSpec(
-        re_min=float(parts[0]),
-        re_max=float(parts[1]),
-        im_min=float(parts[2]),
-        im_max=float(parts[3]),
-        n_re=int(parts[4]),
-        n_im=int(parts[5]),
-    )
+    return _grid_from(dict(zip(_GRID_FIELDS, parts)))
 
 
 def _clicks_list(node, n_max: int) -> list[int]:
@@ -160,7 +174,7 @@ def _clicks_list(node, n_max: int) -> list[int]:
         return [node]
     if isinstance(node, list) and all(isinstance(k, int) for k in node):
         return list(node)
-    raise ConfigError(f"clicks must be an integer, a list of integers or 'all'")
+    raise ConfigError("clicks must be an integer, a list of integers or 'all'")
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +185,15 @@ def _clicks_list(node, n_max: int) -> list[int]:
 def _write_grid(
     outdir: Path, stem: str, fmt: str, matrix: np.ndarray, grid: GridSpec
 ) -> list[str]:
-    re, im = grid.centers()
     if fmt == "csv":
-        rows = [["re", "im", "value"]]
-        for i in range(grid.n_im):
-            for j in range(grid.n_re):
-                rows.append([_fmt(re[j]), _fmt(im[i]), _fmt(matrix[i, j])])
-        _write_text(outdir / f"{stem}.csv", _csv(rows))
+        # one line "re,im,value" per cell, im outer; the centres are formatted
+        # once, and a row's template joins the re fields with the line's tail
+        re, im = (["%.17g" % x for x in axis.tolist()] for axis in grid.centers())
+        tails = (f",{i},%.17g\n" for i in im)
+        chunks = ((tail.join(re) + tail, row) for tail, row in zip(tails, matrix.tolist()))
+        _write_csv(outdir / f"{stem}.csv", "re,im,value", chunks)
         return [f"{stem}.csv"]
-    payload = {
-        "grid": {
-            "re_min": grid.re_min,
-            "re_max": grid.re_max,
-            "im_min": grid.im_min,
-            "im_max": grid.im_max,
-            "n_re": grid.n_re,
-            "n_im": grid.n_im,
-        },
-        "values_row_major": [float(v) for v in matrix.reshape(-1)],
-    }
+    payload = {"grid": asdict(grid), "values_row_major": matrix.ravel()}
     _write_json(outdir / f"{stem}.json", payload)
     return [f"{stem}.json"]
 
@@ -205,23 +209,23 @@ def _mixture_terms_payload(mixture: PhaseSpaceMixture, probability: float) -> di
     }
 
 
+_INT_COLUMNS = ("n", "k", "N")
+
+
 def _write_distribution(
     outdir: Path, stem: str, fmt: str, columns: dict[str, np.ndarray]
 ) -> list[str]:
-    names = list(columns)
     if fmt == "csv":
-        length = len(next(iter(columns.values())))
-        rows = [names] + [
-            [
-                str(int(columns[n][i])) if n in ("n", "k", "N") else _fmt(columns[n][i])
-                for n in names
-            ]
-            for i in range(length)
-        ]
-        _write_text(outdir / f"{stem}.csv", _csv(rows))
+        line = ",".join("%d" if n in _INT_COLUMNS else "%.17g" for n in columns) + "\n"
+        cells = np.column_stack(list(columns.values()))
+        _write_csv(
+            outdir / f"{stem}.csv",
+            ",".join(columns),
+            [(line * len(cells), cells.ravel().tolist())],
+        )
         return [f"{stem}.csv"]
     payload = {
-        n: [int(v) for v in col] if n in ("n", "k", "N") else [float(v) for v in col]
+        n: np.asarray(col, dtype=int if n in _INT_COLUMNS else float)
         for n, col in columns.items()
     }
     _write_json(outdir / f"{stem}.json", payload)
@@ -304,10 +308,6 @@ def _conditioning_protocol(
     return files, resolved
 
 
-def _percent(x: float) -> str:
-    return f"{100.0 * x:.2f}"
-
-
 def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
     inp = _require(config, "input")
     if _require(inp, "kind") != "coherent":
@@ -322,20 +322,24 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))
 
     table = probability_table(spec, beta)
+    percent = (100.0 * table).ravel().tolist()
     files: list[str] = []
     if fmt == "csv":
-        rows = [["k1", "k2", "probability", "percent"]]
-        for k1 in range(det1.N + 1):
-            for k2 in range(det2.N + 1):
-                rows.append([str(k1), str(k2), _fmt(table[k1, k2]), _percent(table[k1, k2])])
-        _write_text(outdir / "probability_table.csv", _csv(rows))
+        k1, k2 = np.indices(table.shape).reshape(2, -1)
+        cells = np.column_stack([k1, k2, table.ravel(), percent])
+        _write_csv(
+            outdir / "probability_table.csv",
+            "k1,k2,probability,percent",
+            [("%d,%d,%.17g,%.2f\n" * table.size, cells.ravel().tolist())],
+        )
         files.append("probability_table.csv")
     else:
+        percent_text = ("%.2f\n" * table.size % tuple(percent)).split()
         payload = {
             "N1": det1.N,
             "N2": det2.N,
-            "probabilities": [[float(v) for v in row] for row in table],
-            "percent": [[_percent(v) for v in row] for row in table],
+            "probabilities": table,
+            "percent": np.reshape(percent_text, table.shape),
         }
         _write_json(outdir / "probability_table.json", payload)
         files.append("probability_table.json")
@@ -350,8 +354,6 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
         else:
             k1_list = _clicks_list(clicks_node, det1.N)
             k2_list = _clicks_list(clicks_node, det2.N)
-        from dataclasses import replace
-
         for k1 in k1_list:
             added = add(PhaseSpaceMixture.coherent(beta), replace(spec.add, k=k1))
             for k2 in k2_list:
@@ -513,14 +515,7 @@ def main(argv: list[str] | None = None) -> int:
             "outputs": sorted(files),
         }
         if grid is not None:
-            manifest["grid"] = {
-                "re_min": grid.re_min,
-                "re_max": grid.re_max,
-                "im_min": grid.im_min,
-                "im_max": grid.im_max,
-                "n_re": grid.n_re,
-                "n_im": grid.n_im,
-            }
+            manifest["grid"] = asdict(grid)
         _write_json(outdir / "manifest.json", manifest)
     for name in files:
         print(outdir / name)

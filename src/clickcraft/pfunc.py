@@ -30,9 +30,7 @@ regularizes them.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,32 +352,16 @@ class GridSpec:
         return re, im
 
 
-def _eval_rows(mixture: PhaseSpaceMixture, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    alpha = re[None, :] + 1j * im[:, None]
-    out = np.zeros(alpha.shape)
-    # fixed term order keeps per-cell summation deterministic
-    for g in mixture.gaussians:
-        out += g.c * np.exp(-g.a * np.abs(alpha - g.z) ** 2)
-    return out
-
-
-def evaluate_grid(
-    mixture: PhaseSpaceMixture,
-    grid: GridSpec,
-    max_workers: int | None = None,
-) -> np.ndarray:
+def evaluate_grid(mixture: PhaseSpaceMixture, grid: GridSpec) -> np.ndarray:
     """Evaluate the regular part of P on the grid; shape (n_im, n_re).
 
     Delta terms are not rasterized; report them separately from
     ``mixture.deltas``.  The per-cell summation order is fixed (term order),
-    so the result is identical for any worker count.
+    so the result is deterministic.
     """
     re, im = grid.centers()
-    if max_workers is None:
-        max_workers = max(1, int(os.environ.get("CLICKCRAFT_THREADS", "1")))
-    if max_workers <= 1 or grid.n_im < 2 * max_workers:
-        return _eval_rows(mixture, re, im)
-    chunks = np.array_split(np.arange(grid.n_im), max_workers)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        parts = list(pool.map(lambda idx: _eval_rows(mixture, re, im[idx]), chunks))
-    return np.vstack(parts)
+    alpha = re[None, :] + 1j * im[:, None]
+    out = np.zeros(alpha.shape)
+    for g in mixture.gaussians:
+        out += g.c * np.exp(-g.a * np.abs(alpha - g.z) ** 2)
+    return out

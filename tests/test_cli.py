@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickcraft.cli import main
+from clickcraft.cli import _write_distribution, _write_grid, main
+from clickcraft.pfunc import GridSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -261,3 +262,83 @@ def test_csv_files_use_lf_endings(tmp_path):
     raw = (tmp_path / "click_distribution.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+# ---------------------------------------------------------------------------
+# writer equivalence: the bulk writers against per-cell reference formatting
+# ---------------------------------------------------------------------------
+
+# -0.0, nan, +-inf, subnormals, huge and ordinary values
+SPECIAL_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300,
+                  -1e300, 1 / 3, 0.1, -7.0, 123456789.0, 1e-5, 1e16, 1e17]
+
+
+def special_values(n, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([SPECIAL_VALUES, rng.normal(size=n)])
+    return rng.permutation(pool)[:n]
+
+
+def reference_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def reference_csv(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def reference_grid(fmt, matrix, grid):
+    re, im = grid.centers()
+    if fmt == "csv":
+        rows = [["re", "im", "value"]]
+        for i in range(grid.n_im):
+            for j in range(grid.n_re):
+                rows.append([f"{re[j]:.17g}", f"{im[i]:.17g}", f"{matrix[i, j]:.17g}"])
+        return reference_csv(rows)
+    fields = ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im")
+    payload = {
+        "grid": {name: getattr(grid, name) for name in fields},
+        "values_row_major": [float(v) for v in matrix.reshape(-1)],
+    }
+    return reference_json(payload)
+
+
+def reference_distribution(fmt, columns):
+    ints = ("n", "k", "N")
+    if fmt == "csv":
+        length = len(next(iter(columns.values())))
+        rows = [list(columns)] + [
+            [str(int(c[i])) if n in ints else f"{c[i]:.17g}" for n, c in columns.items()]
+            for i in range(length)
+        ]
+        return reference_csv(rows)
+    return reference_json(
+        {
+            n: [int(v) for v in c] if n in ints else [float(v) for v in c]
+            for n, c in columns.items()
+        }
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_re,n_im", [(1, 1), (1, 7), (7, 1), (5, 4), (16, 3)])
+def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im):
+    grid = GridSpec(-1e-300, 2.5, -3.0, 1 / 3, n_re, n_im)
+    matrix = special_values(n_re * n_im, n_re + 10 * n_im).reshape(n_im, n_re)
+    (name,) = _write_grid(tmp_path, "grid", fmt, matrix, grid)
+    assert (tmp_path / name).read_bytes() == reference_grid(fmt, matrix, grid).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("length", [0, 1, 17])
+def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length):
+    tables = [
+        {"n": np.arange(length), "weight": special_values(length, 1),
+         "normalized": special_values(length, 2)},
+        {"k": np.arange(length), "probability": special_values(length, 3)},
+        {"N": 2 ** np.arange(length), "distance": special_values(length, 4),
+         "grid_sup": special_values(length, 5), "tail_bound": special_values(length, 6)},
+    ]
+    for stem, columns in enumerate(tables):
+        (name,) = _write_distribution(tmp_path, f"d{stem}", fmt, columns)
+        assert (tmp_path / name).read_bytes() == reference_distribution(fmt, columns).encode()

@@ -243,14 +243,6 @@ def test_grid_symmetry():
     assert np.allclose(vals, vals[::-1, ::-1], atol=1e-12)
 
 
-def test_grid_thread_count_does_not_change_values():
-    mix = random_mixture(5)
-    grid = GridSpec(-2, 2, -1, 1, 37, 23)
-    serial = evaluate_grid(mix, grid, max_workers=1)
-    threaded = evaluate_grid(mix, grid, max_workers=4)
-    assert np.array_equal(serial, threaded)
-
-
 def test_grid_matches_naive_pointwise_summation():
     # extrema of a conditioned output located independently, cell by cell
     from clickcraft import DetectorConfig, SubtractionSpec, BeamSplitterConfig, subtract
