@@ -106,7 +106,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         config = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -119,6 +119,14 @@ def _require(config: dict, key: str) -> object:
     if key not in config:
         raise ConfigError(f"config is missing the {key!r} field")
     return config[key]
+
+
+def _numbers(convert, values, what: str) -> list:
+    """``[convert(v) for v in values]``, a non-number being a config error."""
+    try:
+        return [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be numbers, got {values!r}") from exc
 
 
 def _complex_from(value) -> complex:
@@ -157,7 +165,8 @@ def _grid_from(node) -> GridSpec:
     if not isinstance(node, dict):
         raise ConfigError("grid must be an object with extents and cell counts")
     values = [_require(node, key) for key in _GRID_FIELDS]
-    return GridSpec(*map(float, values[:4]), *map(int, values[4:]))
+    extents = _numbers(float, values[:4], "grid extents")
+    return GridSpec(*extents, *_numbers(int, values[4:], "grid cell counts"))
 
 
 def _grid_from_flag(text: str) -> GridSpec:
@@ -402,7 +411,7 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
 def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
     eta = float(_require(config, "eta"))
     k = int(_require(config, "k"))
-    n_values = [int(n) for n in _require(config, "N")]
+    n_values = _numbers(int, _require(config, "N"), "diode counts N")
     cutoff = int(config.get("cutoff", 512))
     values, sups, tails = [], [], []
     for n in n_values:
@@ -477,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.k is not None:
                 config["k"] = args.k
             if args.N is not None:
-                config["N"] = [int(v) for v in args.N.split(",")]
+                config["N"] = args.N.split(",")
             if args.cutoff is not None:
                 config["cutoff"] = args.cutoff
         fmt = args.format or config.get("format", "csv")
@@ -488,13 +497,8 @@ def main(argv: list[str] | None = None) -> int:
             grid = _grid_from_flag(args.grid)
         elif "grid" in config:
             grid = _grid_from(config["grid"])
-    except ConfigError as exc:
-        print(f"clickcraft: config error: {exc}", file=sys.stderr)
-        return 1
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         files, resolved = _RUNNERS[args.protocol](config, outdir, fmt, grid)
     except ConfigError as exc:
         print(f"clickcraft: config error: {exc}", file=sys.stderr)

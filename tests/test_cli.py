@@ -29,6 +29,13 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     assert main(["subtract", "--config", str(bad)]) == 1
 
 
+def test_undecodable_config_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["subtract", "--config", str(bad)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_wrong_schema_is_parse_error(tmp_path):
     cfg = write_config(tmp_path, {"schema": 2, "protocol": "subtract"})
     assert main(["subtract", "--config", cfg]) == 1
@@ -190,6 +197,50 @@ def test_grid_flag_overrides_config(tmp_path):
     assert rc == 0
     lines = (tmp_path / "pfunction_k1.csv").read_text().splitlines()
     assert len(lines) == 1 + 9
+
+
+ADD_CONFIG = {
+    "schema": 1,
+    "protocol": "add",
+    "input": {"kind": "thermal", "nbar": 0.5},
+    "detector": {"N": 16, "eta": 0.8},
+    "optics": {"mu": 1.4},
+    "clicks": 1,
+}
+
+
+def test_non_numeric_grid_flag_is_parse_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, ADD_CONFIG)
+    argv = ["add", "--config", cfg, "--out", str(tmp_path), "--grid=a,1,-1,1,3,3"]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_non_numeric_config_grid_is_parse_error(tmp_path, capsys):
+    grid = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "n_re": "x", "n_im": 3}
+    cfg = write_config(tmp_path, {**ADD_CONFIG, "grid": grid})
+    assert main(["add", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_empty_grid_extent_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, ADD_CONFIG)
+    argv = ["add", "--config", cfg, "--out", str(tmp_path), "--grid=1,-1,-1,1,3,3"]
+    assert main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_zero_grid_cells_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, ADD_CONFIG)
+    argv = ["add", "--config", cfg, "--out", str(tmp_path), "--grid=1,2,-1,1,0,3"]
+    assert main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+def test_non_numeric_errorbound_n_is_parse_error(tmp_path, capsys):
+    argv = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2,x", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_amplify_json_format(tmp_path):

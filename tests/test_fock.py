@@ -1,6 +1,7 @@
 """Truncated-Fock oracle: constructors, unitaries, conditioning, moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from clickcraft import (
     BeamSplitterConfig,
     CutoffError,
+    DensityMatrix,
     DetectorConfig,
     SqueezerConfig,
     TwoModeDensityMatrix,
@@ -276,8 +278,6 @@ def test_density_matrix_validate_catches_bad_operators():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     bad[0, 0] = 1.0
-    from clickcraft import DensityMatrix
-
     with pytest.raises(ValueError):
         DensityMatrix(4, bad).validate()
 
@@ -315,6 +315,45 @@ def test_ket_unitaries_match_dense_definition(d):
         u = _dense_unitary(gen)
         expect = (u @ dense_in @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         assert np.abs(out.entries - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_ket_unitaries_match_dense_definition_on_full_blocks(d):
+    # thermal light in both modes puts amplitude on every conserved-number
+    # block, so no block is skipped as empty
+    a1 = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+    a, b = np.kron(a1, eye), np.kron(eye, a1)
+    rho_a = make_state("displaced_thermal", d, alpha=0.4 - 0.2j, nbar=0.6, tail_tol=1.0)
+    rho_b = make_state("thermal", d, nbar=0.8, tail_tol=1.0)
+    inp = tensor_product(rho_a, rho_b)
+    dense_in = np.kron(rho_a.entries, rho_b.entries)
+    theta, xi = math.acos(0.7), SqueezerConfig.from_mu(1.1).xi
+    bs_out = apply_beam_splitter(inp, BeamSplitterConfig(0.7), tail_tol=1.0)
+    sq_out = apply_two_mode_squeezer(inp, SqueezerConfig(xi), tail_tol=1.0)
+    cases = [(bs_out, theta * (a @ b.T - a.T @ b)), (sq_out, xi * (a.T @ b.T - a @ b))]
+    for out, gen in cases:
+        u = _dense_unitary(gen)
+        expect = (u @ dense_in @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        assert np.abs(out.entries - expect).max() < 1e-12
+
+
+def test_moment_matches_matrix_power_definition():
+    d = 12
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = x @ x.conj().T
+    rho = DensityMatrix(d, rho / np.trace(rho).real)
+    a1 = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    for p in range(5):
+        for q in range(5 - p):
+            op = np.linalg.matrix_power(a1.T, p) @ np.linalg.matrix_power(a1, q)
+            expect = np.trace(rho.entries @ op)
+            with warnings.catch_warnings():
+                # a random matrix fills the top levels, so the guard fires
+                warnings.simplefilter("ignore", UserWarning)
+                got = normally_ordered_moment(rho, p, q)
+            assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
 def test_tensor_product_keeps_diagonal_rank():
