@@ -129,6 +129,21 @@ def _numbers(convert, values, what: str) -> list:
         raise ConfigError(f"{what} must be numbers, got {values!r}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """An integer field: an int, an integral float or integer text (a flag
+    value).  A bool, a fractional number or other text is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _complex_from(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -140,7 +155,8 @@ def _complex_from(value) -> complex:
 def _detector_from(node) -> DetectorConfig:
     if not isinstance(node, dict):
         raise ConfigError("detector must be an object with fields N and eta")
-    return DetectorConfig(int(_require(node, "N")), float(_require(node, "eta")))
+    n_diodes = _integer(_require(node, "N"), "detector N")
+    return DetectorConfig(n_diodes, float(_require(node, "eta")))
 
 
 def _mixture_from(node) -> PhaseSpaceMixture:
@@ -166,7 +182,8 @@ def _grid_from(node) -> GridSpec:
         raise ConfigError("grid must be an object with extents and cell counts")
     values = [_require(node, key) for key in _GRID_FIELDS]
     extents = _numbers(float, values[:4], "grid extents")
-    return GridSpec(*extents, *_numbers(int, values[4:], "grid cell counts"))
+    counts = [_integer(v, f"grid {key}") for v, key in zip(values[4:], _GRID_FIELDS[4:])]
+    return GridSpec(*extents, *counts)
 
 
 def _grid_from_flag(text: str) -> GridSpec:
@@ -179,11 +196,9 @@ def _grid_from_flag(text: str) -> GridSpec:
 def _clicks_list(node, n_max: int) -> list[int]:
     if node == "all" or node is None:
         return list(range(n_max + 1))
-    if isinstance(node, int):
-        return [node]
-    if isinstance(node, list) and all(isinstance(k, int) for k in node):
-        return list(node)
-    raise ConfigError("clicks must be an integer, a list of integers or 'all'")
+    if isinstance(node, list):
+        return [_integer(k, "clicks") for k in node]
+    return [_integer(node, "clicks")]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +269,8 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
     det = _detector_from(_require(config, "detector"))
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = config.get("cutoff")
+    if cutoff is not None:
+        cutoff = _integer(cutoff, "cutoff")
     files: list[str] = []
     summary = {"clicks": clicks, "probabilities": []}
     for k in clicks:
@@ -329,6 +346,17 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     det1 = _detector_from(_require(add_node, "detector"))
     det2 = _detector_from(_require(sub_node, "detector"))
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))
+    # the grid's click pairs, parsed before any output is written
+    clicks_node = config.get("clicks", "all")
+    if isinstance(clicks_node, dict):
+        k1_list = _clicks_list(clicks_node.get("k1"), det1.N)
+        k2_list = _clicks_list(clicks_node.get("k2"), det2.N)
+    elif isinstance(clicks_node, list) and len(clicks_node) == 2:
+        k1_list = [_integer(clicks_node[0], "clicks")]
+        k2_list = [_integer(clicks_node[1], "clicks")]
+    else:
+        k1_list = _clicks_list(clicks_node, det1.N)
+        k2_list = _clicks_list(clicks_node, det2.N)
 
     table = probability_table(spec, beta)
     percent = (100.0 * table).ravel().tolist()
@@ -353,16 +381,7 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
         _write_json(outdir / "probability_table.json", payload)
         files.append("probability_table.json")
 
-    clicks_node = config.get("clicks", "all")
     if grid is not None:
-        if isinstance(clicks_node, dict):
-            k1_list = _clicks_list(clicks_node.get("k1"), det1.N)
-            k2_list = _clicks_list(clicks_node.get("k2"), det2.N)
-        elif isinstance(clicks_node, list) and len(clicks_node) == 2:
-            k1_list, k2_list = [clicks_node[0]], [clicks_node[1]]
-        else:
-            k1_list = _clicks_list(clicks_node, det1.N)
-            k2_list = _clicks_list(clicks_node, det2.N)
         for k1 in k1_list:
             added = add(PhaseSpaceMixture.coherent(beta), replace(spec.add, k=k1))
             for k2 in k2_list:
@@ -388,13 +407,13 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     if kind == "photon_distribution":
         probs = np.asarray([float(v) for v in _require(inp, "probs")])
     else:
-        cutoff = int(inp.get("cutoff", 64))
+        cutoff = _integer(inp.get("cutoff", 64), "cutoff")
         state = make_state(
             kind,
             cutoff,
             alpha=_complex_from(inp.get("alpha", 0.0)),
             nbar=float(inp.get("nbar", 0.0)),
-            n=int(inp.get("n", 0)),
+            n=_integer(inp.get("n", 0), "n"),
         )
         probs = photon_distribution(state)
     det = _detector_from(_require(config, "detector"))
@@ -410,9 +429,12 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
 
 def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
     eta = float(_require(config, "eta"))
-    k = int(_require(config, "k"))
-    n_values = _numbers(int, _require(config, "N"), "diode counts N")
-    cutoff = int(config.get("cutoff", 512))
+    k = _integer(_require(config, "k"), "k")
+    n_node = _require(config, "N")
+    if not isinstance(n_node, list):
+        raise ConfigError(f"N must be a list of diode counts, got {n_node!r}")
+    n_values = [_integer(n, "diode counts N") for n in n_node]
+    cutoff = _integer(config.get("cutoff", 512), "cutoff")
     values, sups, tails = [], [], []
     for n in n_values:
         res = operator_norm_distance(DetectorConfig(n, eta), k, cutoff)

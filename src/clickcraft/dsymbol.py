@@ -201,29 +201,16 @@ def d_exact(
     return total
 
 
-def _v_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _v_two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = a * b
-    ac = _SPLIT * a
-    ah = ac - (ac - a)
-    al = a - ah
-    bc = _SPLIT * b
-    bh = bc - (bc - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
 def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     """Fill a (kmax+1) x (mmax+1) table of D[k, m] by the two-term recursion.
 
     Each cell is accumulated with error tracking: the two products carry
-    their rounding remainders, which are folded back before the next step.
+    their rounding remainders (Dekker's exact product), which are folded back
+    before the next step.
+
+    The table is filled m-major, each row held twice, so that step m forms
+    ca*D[k, m-1] and cb*D[k-1, m-1] as one operation on contiguous memory:
+    a step is a fixed 30 numpy calls into preallocated buffers.
     """
     if kmax < 0 or mmax < 0:
         raise ValueError("table bounds must be non-negative")
@@ -235,22 +222,65 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     ca = params.tau + params.sigma * karr / n
     cb = params.sigma * (n - karr + 1.0) / n
 
-    hi = np.zeros((kmax + 1, mmax + 1))
-    lo = np.zeros((kmax + 1, mmax + 1))
-    hi[0, 0] = 1.0
+    # rows[m, 0] and rows[m, 1] hold D[0..kmax, m] as hi + lo, each twice
+    rows = np.zeros((mmax + 1, 2, 2, kmax + 1))
+    rows[0, 0, :, 0] = 1.0
     if mmax >= 1:
-        hi[0, 1:] = params.tau ** np.arange(1, mmax + 1)
-    for m in range(1, mmax + 1):
-        if kmax == 0:
-            break
-        t1h, t1e = _v_two_prod(ca, hi[1:, m - 1])
-        t1e += ca * lo[1:, m - 1]
-        t2h, t2e = _v_two_prod(cb, hi[:-1, m - 1])
-        t2e += cb * lo[:-1, m - 1]
-        sh, se = _v_two_sum(t1h, t2h)
-        err = se + t1e + t2e
-        hi[1:, m], lo[1:, m] = _v_two_sum(sh, err)
+        rows[1:, 0, :, 0] = (params.tau ** np.arange(1, mmax + 1))[:, None]
+    if kmax:
+        # coef[0, k] = ca[k] meets D[k, m-1]; coef[1, k-1] = cb[k] meets D[k-1, m-1]
+        coef = np.zeros((2, kmax + 1))
+        coef[0, 1:] = ca
+        coef[1, :-1] = cb
+        split = np.full(coef.shape, _SPLIT)
+        coef_hi = split * coef
+        coef_hi -= coef_hi - coef
+        coef_lo = coef - coef_hi
+        coef_2 = np.stack([coef, coef])
+        prods = np.empty((2, *coef.shape))
+        prod, carried = prods
+        perr, tmp, x_hi, x_lo = np.empty((4, *coef.shape))
+        t1h, t2h, t1e, t2e = prod[0, 1:], prod[1, :-1], perr[0, 1:], perr[1, :-1]
+        sh, bb, u, err = np.empty((4, kmax))
+        mul, add, sub = np.multiply, np.add, np.subtract
+        steps = zip(
+            rows[:-1], rows[:-1, 0], rows[1:, 0, 0, 1:], rows[1:, 1, 0, 1:],
+            rows[1:, :, 1], rows[1:, :, 0],
+        )
+        for prev, prev_hi, out_hi, out_lo, copy, first in steps:
+            # coef * (hi, lo) of row m-1; then Dekker's error of coef * hi
+            mul(coef_2, prev, out=prods)
+            mul(split, prev_hi, out=tmp)
+            sub(tmp, prev_hi, out=x_hi)
+            sub(tmp, x_hi, out=x_hi)
+            sub(prev_hi, x_hi, out=x_lo)
+            mul(coef_hi, x_hi, out=perr)
+            sub(perr, prod, out=perr)
+            mul(coef_hi, x_lo, out=tmp)
+            add(perr, tmp, out=perr)
+            mul(coef_lo, x_hi, out=tmp)
+            add(perr, tmp, out=perr)
+            mul(coef_lo, x_lo, out=tmp)
+            add(perr, tmp, out=perr)
+            add(perr, carried, out=perr)
+            # two-sum t1h + t2h, every remainder folded into err
+            add(t1h, t2h, out=sh)
+            sub(sh, t1h, out=bb)
+            sub(sh, bb, out=u)
+            sub(t1h, u, out=u)
+            sub(t2h, bb, out=bb)
+            add(u, bb, out=err)
+            add(err, t1e, out=err)
+            add(err, t2e, out=err)
+            # two-sum sh + err is row m; then its copy
+            add(sh, err, out=out_hi)
+            sub(out_hi, sh, out=bb)
+            sub(out_hi, bb, out=u)
+            sub(sh, u, out=u)
+            sub(err, bb, out=bb)
+            add(u, bb, out=out_lo)
+            np.copyto(copy, first)
 
-    values = hi + lo
+    values = (rows[:, 0, 0] + rows[:, 1, 0]).T.copy()
     values.flags.writeable = False
     return DSymbolTable(params=params, kmax=kmax, mmax=mmax, values=values)

@@ -149,16 +149,15 @@ class PhaseSpaceMixture:
     def pruned(self, rel_tol: float = PRUNE_RELATIVE) -> "PhaseSpaceMixture":
         """Drop terms whose |integral| contribution is below rel_tol of the
         mixture's absolute integral; the dropped mass is reported on the result."""
-        scale = self.absolute_integral()
+        sizes = [abs(g.weight) for g in self.gaussians] + [abs(d.c) for d in self.deltas]
+        scale = math.fsum(sizes)
         if scale == 0.0:
             return self
         cut = rel_tol * scale
-        keep_g = tuple(g for g in self.gaussians if abs(g.weight) > cut)
-        keep_d = tuple(d for d in self.deltas if abs(d.c) > cut)
-        lost = math.fsum(
-            [abs(g.weight) for g in self.gaussians if abs(g.weight) <= cut]
-            + [abs(d.c) for d in self.deltas if abs(d.c) <= cut]
-        )
+        n_g = len(self.gaussians)
+        keep_g = tuple(g for g, w in zip(self.gaussians, sizes) if w > cut)
+        keep_d = tuple(d for d, w in zip(self.deltas, sizes[n_g:]) if w > cut)
+        lost = math.fsum([w for w in sizes if w <= cut])
         return PhaseSpaceMixture(keep_g, keep_d, self.dropped + lost)
 
 
@@ -280,17 +279,22 @@ def multiply_click_factor(
         return mixture if k == 0 else PhaseSpaceMixture((), (), mixture.dropped)
 
     cnk = math.comb(n_diodes, k)
+    # (signed binomial coefficient, exponent) of each term of the expansion
+    expansion = [
+        (cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1), eta_eff * (1.0 - j / n_diodes))
+        for j in range(k + 1)
+    ]
     gaussians = []
     for g in mixture.gaussians:
-        for j in range(k + 1):
-            coeff = cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1)
-            gexp = eta_eff * (1.0 - j / n_diodes)
+        a, z, c = g.a, g.z, g.c
+        abs2 = abs(z) ** 2
+        for coeff, gexp in expansion:
             if gexp == 0.0:
-                gaussians.append(GaussianTerm(coeff * g.c, g.z, g.a))
+                gaussians.append(GaussianTerm(coeff * c, z, a))
                 continue
-            anew = g.a + gexp
-            cnew = coeff * g.c * math.exp(-g.a * gexp * abs(g.z) ** 2 / anew)
-            gaussians.append(GaussianTerm(cnew, (g.a / anew) * g.z, anew))
+            anew = a + gexp
+            cnew = coeff * c * math.exp(-a * gexp * abs2 / anew)
+            gaussians.append(GaussianTerm(cnew, (a / anew) * z, anew))
     deltas = tuple(
         DeltaTerm(d.c * _click_factor_value(eta_eff, n_diodes, k, abs(d.z) ** 2), d.z)
         for d in mixture.deltas
@@ -311,18 +315,17 @@ def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:
     total = 0j
     for d in mixture.deltas:
         total += d.c * d.z.conjugate() ** p * d.z**q
+    # C(p, i) C(q, i) i! of each contraction order i
+    counts = [
+        (i, math.comb(p, i) * math.comb(q, i) * math.factorial(i))
+        for i in range(min(p, q) + 1)
+    ]
     for g in mixture.gaussians:
-        zc = g.z.conjugate()
+        a, z = g.a, g.z
+        zc = z.conjugate()
         acc = 0j
-        for i in range(min(p, q) + 1):
-            acc += (
-                math.comb(p, i)
-                * math.comb(q, i)
-                * math.factorial(i)
-                * g.a**-i
-                * zc ** (p - i)
-                * g.z ** (q - i)
-            )
+        for i, count in counts:
+            acc += count * a**-i * zc ** (p - i) * z ** (q - i)
         total += g.weight * acc
     return total
 

@@ -106,6 +106,8 @@ def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistr
     p = np.asarray(photon_dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("photon distribution must be a non-empty vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("photon distribution has non-finite entries")
     if np.any(p < 0):
         raise ValueError("photon distribution has negative entries")
     if p.sum() > 1.0 + 1e-10:

@@ -243,6 +243,92 @@ def test_non_numeric_errorbound_n_is_parse_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+HERALD_CONFIG = {
+    "schema": 1,
+    "protocol": "herald",
+    "input": {"kind": "phase_diffused_tmsv", "omega": 0.25},
+    "detector": {"N": 4, "eta": 0.9},
+    "clicks": [1],
+    "cutoff": 40,
+}
+FOCK_CLICKSTATS_CONFIG = {
+    "schema": 1,
+    "protocol": "clickstats",
+    "input": {"kind": "fock", "n": 1, "cutoff": 8},
+    "detector": {"N": 4, "eta": 0.5},
+}
+ERRORBOUND_CONFIG = {
+    "schema": 1,
+    "protocol": "errorbound",
+    "eta": 0.5,
+    "k": 1,
+    "N": [2, 4],
+    "cutoff": 64,
+}
+SMALL_GRID = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "n_re": 3, "n_im": 3}
+
+
+def _amplify_pair_config(pair):
+    payload = json.loads((CONFIGS / "table1.json").read_text())
+    return {**payload, "clicks": pair, "grid": SMALL_GRID}
+
+
+# each config ran on the truncated value (4.7 -> 4, true -> 1) or raised a
+# TypeError before integer fields were checked
+NON_INTEGER_FIELDS = {
+    "detector_N_fraction": {**ADD_CONFIG, "detector": {"N": 4.7, "eta": 0.8}},
+    "detector_N_bool": {**ADD_CONFIG, "detector": {"N": True, "eta": 0.8}},
+    "clicks_bool": {**ADD_CONFIG, "clicks": True},
+    "clicks_list_bool": {**ADD_CONFIG, "clicks": [True, 1]},
+    "clicks_pair_fraction": _amplify_pair_config([1.5, 1]),
+    "grid_n_re_fraction": {**ADD_CONFIG, "grid": {**SMALL_GRID, "n_re": 2.7}},
+    "grid_n_im_bool": {**ADD_CONFIG, "grid": {**SMALL_GRID, "n_im": True}},
+    "herald_cutoff_fraction": {**HERALD_CONFIG, "cutoff": 40.5},
+    "clickstats_cutoff_fraction": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "fock", "n": 1, "cutoff": 8.5},
+    },
+    "clickstats_n_fraction": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "fock", "n": 1.5, "cutoff": 8},
+    },
+    "errorbound_cutoff_fraction": {**ERRORBOUND_CONFIG, "cutoff": 64.5},
+    "errorbound_k_fraction": {**ERRORBOUND_CONFIG, "k": 1.5},
+    "errorbound_k_bool": {**ERRORBOUND_CONFIG, "k": True},
+    "errorbound_N_fraction": {**ERRORBOUND_CONFIG, "N": [2.5, 4]},
+    "errorbound_N_bool": {**ERRORBOUND_CONFIG, "N": [True, 4]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_FIELDS))
+def test_non_integer_field_is_parse_error(tmp_path, capsys, case):
+    payload = NON_INTEGER_FIELDS[case]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([payload["protocol"], "--config", cfg, "--out", str(out)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_field_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, {**ADD_CONFIG, "grid": {**SMALL_GRID, "n_re": 3.0}})
+    assert main(["add", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "pfunction_k1.csv").read_text().splitlines()) == 1 + 9
+
+
+def test_non_finite_photon_distribution_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"schema": 1, "protocol": "clickstats",'
+        ' "input": {"kind": "photon_distribution", "probs": [0.5, NaN]},'
+        ' "detector": {"N": 4, "eta": 0.5}}'
+    )
+    out = tmp_path / "out"
+    assert main(["clickstats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "click_distribution.csv").exists()
+
+
 def test_amplify_json_format(tmp_path):
     rc = main(
         [

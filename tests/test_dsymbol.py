@@ -135,3 +135,83 @@ def test_params_validation():
         DSymbolParams(0, 0.5, 0.5)
     with pytest.raises(ValueError):
         DSymbolParams(4, float("nan"), 0.5)
+
+
+# --- the recursion's bits -----------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _reference_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _reference_two_prod(a, b):
+    p = a * b
+    ac = _SPLIT * a
+    ah = ac - (ac - a)
+    al = a - ah
+    bc = _SPLIT * b
+    bh = bc - (bc - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _reference_recursion(params, kmax, mmax):
+    """The compensated recursion column by column (k-major), one Dekker
+    product per coefficient vector and step."""
+    n = params.N
+    karr = np.arange(1, kmax + 1, dtype=float)
+    ca = params.tau + params.sigma * karr / n
+    cb = params.sigma * (n - karr + 1.0) / n
+    hi = np.zeros((kmax + 1, mmax + 1))
+    lo = np.zeros((kmax + 1, mmax + 1))
+    hi[0, 0] = 1.0
+    if mmax >= 1:
+        hi[0, 1:] = params.tau ** np.arange(1, mmax + 1)
+    for m in range(1, mmax + 1):
+        if kmax == 0:
+            break
+        t1h, t1e = _reference_two_prod(ca, hi[1:, m - 1])
+        t1e += ca * lo[1:, m - 1]
+        t2h, t2e = _reference_two_prod(cb, hi[:-1, m - 1])
+        t2e += cb * lo[:-1, m - 1]
+        sh, se = _reference_two_sum(t1h, t2h)
+        err = se + t1e + t2e
+        hi[1:, m], lo[1:, m] = _reference_two_sum(sh, err)
+    return hi + lo
+
+
+def _bit_cases():
+    edges = [
+        (1, 1, 0, 0.3, 0.7),  # mmax = 0
+        (5, 0, 40, 0.3, 0.7),  # kmax = 0
+        (1, 1, 60, 0.25, 0.75),  # N = 1
+        (8, 8, 50, 1.0, 0.0),  # eta = 0
+        (8, 8, 50, 0.0, 1.0),  # eta = 1
+        (6, 6, 40, -1.7, 1.7),  # subtraction regime, tau < 0
+        (16, 12, 80, 0.2, 1.8),  # sigma > 1
+        (64, 64, 127, 0.2, 0.8),
+    ]
+    rng = np.random.default_rng(20140321)
+    randoms = []
+    for _ in range(120):
+        n = int(rng.integers(1, 70))
+        randoms.append(
+            (n, int(rng.integers(0, n + 1)), int(rng.integers(0, 140)),
+             float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.0, 3.0)))
+        )
+    return edges + randoms
+
+
+def test_d_recursive_bit_identical_to_reference_recursion():
+    for n, kmax, mmax, tau, sigma in _bit_cases():
+        params = DSymbolParams(n, tau, sigma)
+        values = d_recursive(params, kmax, mmax).values
+        expect = _reference_recursion(params, kmax, mmax)
+        case = (n, kmax, mmax, tau, sigma)
+        assert values.shape == (kmax + 1, mmax + 1), case
+        assert values.flags.c_contiguous and not values.flags.writeable, case
+        assert np.array_equal(values.view(np.uint64), expect.view(np.uint64)), case

@@ -301,3 +301,113 @@ def test_maps_keep_mixtures_finite_and_real():
     vals = out.evaluate(random_points(50))
     assert np.all(np.isfinite(vals))
     assert vals.dtype.kind == "f"
+
+
+# --- term algebra bits --------------------------------------------------------
+
+
+def _reference_pruned(mixture, rel_tol=1e-15):
+    """Pruning with |weight| recomputed per test, term by term."""
+    scale = mixture.absolute_integral()
+    if scale == 0.0:
+        return mixture
+    cut = rel_tol * scale
+    keep_g = tuple(g for g in mixture.gaussians if abs(g.weight) > cut)
+    keep_d = tuple(d for d in mixture.deltas if abs(d.c) > cut)
+    lost = math.fsum(
+        [abs(g.weight) for g in mixture.gaussians if abs(g.weight) <= cut]
+        + [abs(d.c) for d in mixture.deltas if abs(d.c) <= cut]
+    )
+    return PhaseSpaceMixture(keep_g, keep_d, mixture.dropped + lost)
+
+
+def _reference_click_factor(mixture, eta_eff, n, k, prune=True):
+    """The click factor expanded term by term, coefficients rebuilt per Gaussian."""
+    if eta_eff == 0.0:
+        return mixture if k == 0 else PhaseSpaceMixture((), (), mixture.dropped)
+    cnk = math.comb(n, k)
+    gaussians = []
+    for g in mixture.gaussians:
+        for j in range(k + 1):
+            coeff = cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1)
+            gexp = eta_eff * (1.0 - j / n)
+            if gexp == 0.0:
+                gaussians.append(GaussianTerm(coeff * g.c, g.z, g.a))
+                continue
+            anew = g.a + gexp
+            cnew = coeff * g.c * math.exp(-g.a * gexp * abs(g.z) ** 2 / anew)
+            gaussians.append(GaussianTerm(cnew, (g.a / anew) * g.z, anew))
+    deltas = []
+    for d in mixture.deltas:
+        e = math.exp(-eta_eff * abs(d.z) ** 2 / n)
+        deltas.append(DeltaTerm(d.c * (cnk * e ** (n - k) * (1.0 - e) ** k), d.z))
+    out = PhaseSpaceMixture(tuple(gaussians), tuple(deltas), mixture.dropped)
+    return _reference_pruned(out) if prune else out
+
+
+def _reference_moment(mixture, p, q):
+    total = 0j
+    for d in mixture.deltas:
+        total += d.c * d.z.conjugate() ** p * d.z**q
+    for g in mixture.gaussians:
+        zc = g.z.conjugate()
+        acc = 0j
+        for i in range(min(p, q) + 1):
+            acc += (
+                math.comb(p, i) * math.comb(q, i) * math.factorial(i)
+                * g.a**-i * zc ** (p - i) * g.z ** (q - i)
+            )
+        total += g.weight * acc
+    return total
+
+
+def _bits(mixture):
+    """Every float of a mixture as its bit pattern, in term order."""
+    floats = [x for g in mixture.gaussians for x in (g.c, g.z.real, g.z.imag, g.a)]
+    floats += [x for d in mixture.deltas for x in (d.c, d.z.real, d.z.imag)]
+    floats.append(mixture.dropped)
+    return np.array(floats).view(np.uint64).tolist()
+
+
+def _spread_mixture(rng, n_gauss, n_delta):
+    """Terms whose weights span twenty decades, so pruning drops some."""
+    gaussians = tuple(
+        GaussianTerm(
+            c=float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, 0)),
+            z=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+            a=float(rng.uniform(0.05, 4.0)),
+        )
+        for _ in range(n_gauss)
+    )
+    deltas = tuple(
+        DeltaTerm(c=float(10.0 ** rng.uniform(-20, 0)), z=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        for _ in range(n_delta)
+    )
+    return PhaseSpaceMixture(gaussians, deltas, float(rng.uniform(0, 1e-12)))
+
+
+def _bits_complex(value):
+    return np.array([value.real, value.imag]).view(np.uint64).tolist()
+
+
+def test_term_algebra_bit_identical_to_per_term_loops():
+    rng = np.random.default_rng(20140321)
+    dropped_any = False
+    # (N, k, eta_eff): k = N reaches j = N, where the exponent is 0
+    for n, k, eta_eff in [(1, 1, 0.7), (4, 4, 1.3), (8, 0, 0.37), (8, 3, 0.0),
+                          (16, 16, 0.8), (24, 7, 2.5), (12, 12, 0.01)]:
+        for n_gauss, n_delta in [(0, 2), (3, 0), (5, 2)]:
+            mixture = _spread_mixture(rng, n_gauss, n_delta)
+            for prune in (True, False):
+                out = multiply_click_factor(mixture, eta_eff, n, k, prune=prune)
+                expect = _reference_click_factor(mixture, eta_eff, n, k, prune=prune)
+                assert _bits(out) == _bits(expect), (n, k, eta_eff, n_gauss, n_delta, prune)
+                dropped_any |= prune and out.dropped > mixture.dropped
+            for rel_tol in (1e-15, 1e-6):
+                expect = _reference_pruned(mixture, rel_tol)
+                assert _bits(mixture.pruned(rel_tol)) == _bits(expect)
+            for p in range(7):
+                for q in range(7 - p):
+                    got, ref = moment(out, p, q), _reference_moment(out, p, q)
+                    assert _bits_complex(got) == _bits_complex(ref), (p, q)
+    assert dropped_any  # pruning removed terms somewhere

@@ -96,6 +96,12 @@ def test_click_statistics_rejects_negative():
         click_statistics(np.array([0.5, -0.1]), DetectorConfig(2, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_click_statistics_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        click_statistics(np.array([0.5, bad]), DetectorConfig(2, 0.5))
+
+
 def test_photoelectric_projector_at_unit_efficiency():
     el = photoelectric_element(1.0, 3, 16)
     expect = np.zeros(16)
