@@ -8,6 +8,11 @@ come from a single versioned JSON config ("schema": 1); a handful of flags
 override config fields for sweeps.  Outputs are deterministic: fixed file
 names, fixed field order, 17-significant-digit decimal floats, LF line
 endings, no timestamps, so identical configs produce byte-identical files.
+The writers encode each distinct float bit pattern of an array once and
+place its text in every cell that holds it: P-function grids of
+phase-invariant or real-axis states repeat most of their cells.  Distinct
+means distinct bits, not values, because ``-0.0 == 0.0`` prints as ``-0``
+and ``0``, and a deduplication by value would also merge every NaN.
 
 Exit codes: 0 success, 1 config parse error, 2 parameter validation error,
 3 numerical failure (a cutoff could not hold the requested tail tolerance, or
@@ -58,13 +63,30 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _float_texts(values: np.ndarray, as_json: bool = False) -> list[str]:
+    """The text of each float of ``values`` in flat order: ``%.17g``, or the
+    JSON encoder's (``NaN``, ``Infinity``, ``float.__repr__``).  Each distinct
+    bit pattern is encoded once, in one formatting call for all of them."""
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(np.float64).tolist()
+    if as_json:
+        texts = json.dumps(distinct)[1:-1].split(", ")
+    else:
+        texts = ("%.17g\n" * len(distinct) % tuple(distinct)).split()
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def _json_array(values: np.ndarray, depth: int) -> str:
     """``values.tolist()`` laid out as ``json.dumps(..., indent=1)`` lays it
-    out at nesting ``depth``; each innermost row is one C-encoder call."""
+    out at nesting ``depth``; float rows go through ``_float_texts``, other
+    rows are one C-encoder call each."""
     if not len(values):
         return "[]"
     pad = "\n" + " " * (depth + 1)
-    if values.ndim == 1:
+    if values.ndim == 1 and values.dtype.kind == "f":
+        body = ("," + pad).join(_float_texts(values, as_json=True))
+    elif values.ndim == 1:
         body = json.dumps(values.tolist(), separators=("," + pad, ": "))[1:-1]
     else:
         body = ("," + pad).join(_json_array(row, depth + 1) for row in values)
@@ -121,14 +143,6 @@ def _require(config: dict, key: str) -> object:
     return config[key]
 
 
-def _numbers(convert, values, what: str) -> list:
-    """``[convert(v) for v in values]``, a non-number being a config error."""
-    try:
-        return [convert(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be numbers, got {values!r}") from exc
-
-
 def _integer(value, what: str) -> int:
     """An integer field: an int, an integral float or integer text (a flag
     value).  A bool, a fractional number or other text is a config error."""
@@ -144,19 +158,31 @@ def _integer(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def _real(value, what: str) -> float:
+    """A float field: an int, a float or number text (a flag value).  A bool
+    or other text is a config error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _complex_from(value, what: str) -> complex:
+    """A number, or an ``[re, im]`` pair of numbers."""
     if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
+        return complex(_real(value[0], what), _real(value[1], what))
+    return complex(_real(value, what))
 
 
 def _detector_from(node) -> DetectorConfig:
     if not isinstance(node, dict):
         raise ConfigError("detector must be an object with fields N and eta")
     n_diodes = _integer(_require(node, "N"), "detector N")
-    return DetectorConfig(n_diodes, float(_require(node, "eta")))
+    return DetectorConfig(n_diodes, _real(_require(node, "eta"), "detector eta"))
 
 
 def _mixture_from(node) -> PhaseSpaceMixture:
@@ -164,12 +190,13 @@ def _mixture_from(node) -> PhaseSpaceMixture:
     if kind == "vacuum":
         return PhaseSpaceMixture.vacuum()
     if kind == "coherent":
-        return PhaseSpaceMixture.coherent(_complex_from(_require(node, "alpha")))
+        return PhaseSpaceMixture.coherent(_complex_from(_require(node, "alpha"), "alpha"))
     if kind == "thermal":
-        return PhaseSpaceMixture.thermal(float(_require(node, "nbar")))
+        return PhaseSpaceMixture.thermal(_real(_require(node, "nbar"), "nbar"))
     if kind == "displaced_thermal":
         return PhaseSpaceMixture.displaced_thermal(
-            _complex_from(_require(node, "alpha")), float(_require(node, "nbar"))
+            _complex_from(_require(node, "alpha"), "alpha"),
+            _real(_require(node, "nbar"), "nbar"),
         )
     raise ConfigError(f"unsupported input state kind {kind!r}")
 
@@ -181,7 +208,7 @@ def _grid_from(node) -> GridSpec:
     if not isinstance(node, dict):
         raise ConfigError("grid must be an object with extents and cell counts")
     values = [_require(node, key) for key in _GRID_FIELDS]
-    extents = _numbers(float, values[:4], "grid extents")
+    extents = [_real(v, f"grid {key}") for v, key in zip(values[:4], _GRID_FIELDS)]
     counts = [_integer(v, f"grid {key}") for v, key in zip(values[4:], _GRID_FIELDS[4:])]
     return GridSpec(*extents, *counts)
 
@@ -212,9 +239,11 @@ def _write_grid(
     if fmt == "csv":
         # one line "re,im,value" per cell, im outer; the centres are formatted
         # once, and a row's template joins the re fields with the line's tail
-        re, im = (["%.17g" % x for x in axis.tolist()] for axis in grid.centers())
-        tails = (f",{i},%.17g\n" for i in im)
-        chunks = ((tail.join(re) + tail, row) for tail, row in zip(tails, matrix.tolist()))
+        re, im = (_float_texts(axis) for axis in grid.centers())
+        cells = _float_texts(matrix)
+        rows = (cells[j : j + len(re)] for j in range(0, len(cells), len(re)))
+        tails = (f",{i},%s\n" for i in im)
+        chunks = ((tail.join(re) + tail, row) for tail, row in zip(tails, rows))
         _write_csv(outdir / f"{stem}.csv", "re,im,value", chunks)
         return [f"{stem}.csv"]
     payload = {"grid": asdict(grid), "values_row_major": matrix.ravel()}
@@ -240,12 +269,15 @@ def _write_distribution(
     outdir: Path, stem: str, fmt: str, columns: dict[str, np.ndarray]
 ) -> list[str]:
     if fmt == "csv":
-        line = ",".join("%d" if n in _INT_COLUMNS else "%.17g" for n in columns) + "\n"
-        cells = np.column_stack(list(columns.values()))
+        line = ",".join("%d" if n in _INT_COLUMNS else "%s" for n in columns) + "\n"
+        texts = [
+            np.asarray(col).tolist() if n in _INT_COLUMNS else _float_texts(col)
+            for n, col in columns.items()
+        ]
         _write_csv(
             outdir / f"{stem}.csv",
             ",".join(columns),
-            [(line * len(cells), cells.ravel().tolist())],
+            [(line * len(texts[0]), [cell for row in zip(*texts) for cell in row])],
         )
         return [f"{stem}.csv"]
     payload = {
@@ -265,7 +297,7 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
     inp = _require(config, "input")
     if _require(inp, "kind") != "phase_diffused_tmsv":
         raise ConfigError("the herald protocol takes a phase_diffused_tmsv input")
-    omega = float(_require(inp, "omega"))
+    omega = _real(_require(inp, "omega"), "omega")
     det = _detector_from(_require(config, "detector"))
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = config.get("cutoff")
@@ -296,14 +328,14 @@ def _conditioning_protocol(
     det = _detector_from(_require(config, "detector"))
     optics = _require(config, "optics")
     if protocol == "subtract":
-        bs = BeamSplitterConfig(float(_require(optics, "t")))
+        bs = BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
         make_spec = lambda k: SubtractionSpec(bs, det, k)
         resolved_optics = {"t": bs.t, "r": bs.r}
     else:
         sq = (
-            SqueezerConfig.from_mu(float(optics["mu"]))
+            SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
             if "mu" in optics
-            else SqueezerConfig(float(_require(optics, "xi")))
+            else SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
         )
         make_spec = lambda k: AdditionSpec(sq, det, k)
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
@@ -338,11 +370,13 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     inp = _require(config, "input")
     if _require(inp, "kind") != "coherent":
         raise ConfigError("the amplify protocol takes a coherent input")
-    beta = _complex_from(_require(inp, "alpha"))
+    beta = _complex_from(_require(inp, "alpha"), "alpha")
     add_node = _require(config, "addition")
     sub_node = _require(config, "subtraction")
-    sq = SqueezerConfig.from_mu(float(_require(_require(add_node, "optics"), "mu")))
-    bs = BeamSplitterConfig(float(_require(_require(sub_node, "optics"), "t")))
+    mu = _require(_require(add_node, "optics"), "mu")
+    t = _require(_require(sub_node, "optics"), "t")
+    sq = SqueezerConfig.from_mu(_real(mu, "optics mu"))
+    bs = BeamSplitterConfig(_real(t, "optics t"))
     det1 = _detector_from(_require(add_node, "detector"))
     det2 = _detector_from(_require(sub_node, "detector"))
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))
@@ -362,12 +396,12 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     percent = (100.0 * table).ravel().tolist()
     files: list[str] = []
     if fmt == "csv":
-        k1, k2 = np.indices(table.shape).reshape(2, -1)
-        cells = np.column_stack([k1, k2, table.ravel(), percent])
+        k1, k2 = np.indices(table.shape).reshape(2, -1).tolist()
+        rows = zip(k1, k2, _float_texts(table), percent)
         _write_csv(
             outdir / "probability_table.csv",
             "k1,k2,probability,percent",
-            [("%d,%d,%.17g,%.2f\n" * table.size, cells.ravel().tolist())],
+            [("%d,%d,%s,%.2f\n" * table.size, [cell for row in rows for cell in row])],
         )
         files.append("probability_table.csv")
     else:
@@ -405,14 +439,17 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     inp = _require(config, "input")
     kind = _require(inp, "kind")
     if kind == "photon_distribution":
-        probs = np.asarray([float(v) for v in _require(inp, "probs")])
+        probs = _require(inp, "probs")
+        if not isinstance(probs, list):
+            raise ConfigError(f"probs must be a list of numbers, got {probs!r}")
+        probs = np.asarray([_real(v, "probs") for v in probs])
     else:
         cutoff = _integer(inp.get("cutoff", 64), "cutoff")
         state = make_state(
             kind,
             cutoff,
-            alpha=_complex_from(inp.get("alpha", 0.0)),
-            nbar=float(inp.get("nbar", 0.0)),
+            alpha=_complex_from(inp.get("alpha", 0.0), "alpha"),
+            nbar=_real(inp.get("nbar", 0.0), "nbar"),
             n=_integer(inp.get("n", 0), "n"),
         )
         probs = photon_distribution(state)
@@ -428,7 +465,7 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
 
 
 def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    eta = float(_require(config, "eta"))
+    eta = _real(_require(config, "eta"), "eta")
     k = _integer(_require(config, "k"), "k")
     n_node = _require(config, "N")
     if not isinstance(n_node, list):

@@ -363,8 +363,4 @@ def evaluate_grid(mixture: PhaseSpaceMixture, grid: GridSpec) -> np.ndarray:
     so the result is deterministic.
     """
     re, im = grid.centers()
-    alpha = re[None, :] + 1j * im[:, None]
-    out = np.zeros(alpha.shape)
-    for g in mixture.gaussians:
-        out += g.c * np.exp(-g.a * np.abs(alpha - g.z) ** 2)
-    return out
+    return mixture.evaluate(re[None, :] + 1j * im[:, None])

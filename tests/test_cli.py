@@ -310,6 +310,51 @@ def test_non_integer_field_is_parse_error(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+# each config ran on the bool as 1.0 (exit 0, or exit 2 where 1.0 is out of
+# range), failed on the text as an invalid parameter (exit 2) or, for a
+# scalar probs, raised a TypeError
+NON_REAL_FIELDS = {
+    "detector_eta_bool": {**ADD_CONFIG, "detector": {"N": 16, "eta": True}},
+    "nbar_bool": {**ADD_CONFIG, "input": {"kind": "thermal", "nbar": True}},
+    "nbar_text": {**ADD_CONFIG, "input": {"kind": "thermal", "nbar": "abc"}},
+    "omega_bool": {**HERALD_CONFIG, "input": {"kind": "phase_diffused_tmsv", "omega": True}},
+    "optics_t_bool": {**ADD_CONFIG, "protocol": "subtract", "optics": {"t": True}},
+    "optics_mu_bool": {**ADD_CONFIG, "optics": {"mu": True}},
+    "optics_xi_bool": {**ADD_CONFIG, "optics": {"xi": True}},
+    "alpha_bool": {**ADD_CONFIG, "input": {"kind": "coherent", "alpha": True}},
+    "alpha_pair_bool": {**ADD_CONFIG, "input": {"kind": "coherent", "alpha": [True, 0.5]}},
+    "grid_re_max_bool": {**ADD_CONFIG, "grid": {**SMALL_GRID, "re_max": True}},
+    "clickstats_probs_text": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "photon_distribution", "probs": [0.5, "abc"]},
+    },
+    "clickstats_probs_bool": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "photon_distribution", "probs": [0.0, True]},
+    },
+    "clickstats_nbar_bool": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "thermal", "nbar": True, "cutoff": 64},
+    },
+    "clickstats_probs_scalar": {
+        **FOCK_CLICKSTATS_CONFIG,
+        "input": {"kind": "photon_distribution", "probs": 0.5},
+    },
+    "errorbound_eta_bool": {**ERRORBOUND_CONFIG, "eta": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_REAL_FIELDS))
+def test_non_real_field_is_parse_error(tmp_path, capsys, case):
+    payload = NON_REAL_FIELDS[case]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([payload["protocol"], "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "number" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_integral_float_field_is_accepted(tmp_path):
     cfg = write_config(tmp_path, {**ADD_CONFIG, "grid": {**SMALL_GRID, "n_re": 3.0}})
     assert main(["add", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -416,6 +461,16 @@ def special_values(n, seed):
     return rng.permutation(pool)[:n]
 
 
+def repeated_values(n, seed):
+    """``n >= 17`` cells, mostly repeats, holding every special value and a
+    second NaN payload: a writer that merges equal values, not equal bits,
+    prints 0.0 as -0 or -0.0 as 0."""
+    rng = np.random.default_rng(seed)
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([SPECIAL_VALUES, nan_payload])
+    return rng.permutation(np.concatenate([pool, rng.choice(pool, n - len(pool))]))
+
+
 def reference_json(payload):
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -458,23 +513,32 @@ def reference_distribution(fmt, columns):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_re,n_im", [(1, 1), (1, 7), (7, 1), (5, 4), (16, 3)])
-def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im):
+@pytest.mark.parametrize(
+    "n_re,n_im,values",
+    [(1, 1, special_values), (1, 7, special_values), (7, 1, special_values),
+     (5, 4, special_values), (16, 3, special_values), (12, 9, repeated_values)],
+    ids=["1-1", "1-7", "7-1", "5-4", "16-3", "12-9-repeats"],
+)
+def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im, values):
     grid = GridSpec(-1e-300, 2.5, -3.0, 1 / 3, n_re, n_im)
-    matrix = special_values(n_re * n_im, n_re + 10 * n_im).reshape(n_im, n_re)
+    matrix = values(n_re * n_im, n_re + 10 * n_im).reshape(n_im, n_re)
     (name,) = _write_grid(tmp_path, "grid", fmt, matrix, grid)
     assert (tmp_path / name).read_bytes() == reference_grid(fmt, matrix, grid).encode()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("length", [0, 1, 17])
-def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length):
+@pytest.mark.parametrize(
+    "length,values",
+    [(0, special_values), (1, special_values), (17, special_values), (40, repeated_values)],
+    ids=["0", "1", "17", "40-repeats"],
+)
+def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length, values):
     tables = [
-        {"n": np.arange(length), "weight": special_values(length, 1),
-         "normalized": special_values(length, 2)},
-        {"k": np.arange(length), "probability": special_values(length, 3)},
-        {"N": 2 ** np.arange(length), "distance": special_values(length, 4),
-         "grid_sup": special_values(length, 5), "tail_bound": special_values(length, 6)},
+        {"n": np.arange(length), "weight": values(length, 1),
+         "normalized": values(length, 2)},
+        {"k": np.arange(length), "probability": values(length, 3)},
+        {"N": 2 ** np.arange(length), "distance": values(length, 4),
+         "grid_sup": values(length, 5), "tail_bound": values(length, 6)},
     ]
     for stem, columns in enumerate(tables):
         (name,) = _write_distribution(tmp_path, f"d{stem}", fmt, columns)
