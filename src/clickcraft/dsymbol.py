@@ -21,7 +21,9 @@ so three routes are provided:
 
 * ``d_recursive`` -- default path; double precision with compensated
   (error-tracked) accumulation.  Forward stable in the probability regime
-  where all mixing coefficients are non-negative.
+  where all mixing coefficients are non-negative.  Narrow tables (small
+  kmax) are filled cell by cell in Python floats, wider ones m-major in
+  numpy; both orders give the same bits.
 * ``d_direct`` -- the alternating sum, evaluated with error-free transforms
   (double-double powers, exact splitting of the integer coefficients) and an
   exact final summation.  Test/cross-check path.
@@ -201,6 +203,11 @@ def d_exact(
     return total
 
 
+# tables with kmax below this are filled by ``_fill_scalar``, wider ones by
+# ``_fill_numpy``
+_NUMPY_KMAX = 16
+
+
 def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     """Fill a (kmax+1) x (mmax+1) table of D[k, m] by the two-term recursion.
 
@@ -208,9 +215,13 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     their rounding remainders (Dekker's exact product), which are folded back
     before the next step.
 
-    The table is filled m-major, each row held twice, so that step m forms
-    ca*D[k, m-1] and cb*D[k-1, m-1] as one operation on contiguous memory:
-    a step is a fixed 30 numpy calls into preallocated buffers.
+    Two evaluation orders give the same bits, since every cell takes the same
+    IEEE operations in the same order.  A table with kmax below
+    ``_NUMPY_KMAX`` is filled row by row in Python floats, at about 1 us per
+    cell; a wider one m-major in numpy, at a fixed 30 calls (15 to 25 us)
+    per step whatever kmax.  The two costs cross at kmax of about 16 to 24
+    on a 2-core x86-64 machine; the switch sits at the low end, where the
+    scalar fill is at worst about as fast as numpy.
     """
     if kmax < 0 or mmax < 0:
         raise ValueError("table bounds must be non-negative")
@@ -221,12 +232,68 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     karr = np.arange(1, kmax + 1, dtype=float)
     ca = params.tau + params.sigma * karr / n
     cb = params.sigma * (n - karr + 1.0) / n
+    row0 = np.ones(mmax + 1)
+    row0[1:] = params.tau ** np.arange(1, mmax + 1)
+    fill = _fill_scalar if kmax < _NUMPY_KMAX else _fill_numpy
+    values = fill(row0, ca, cb)
+    values.flags.writeable = False
+    return DSymbolTable(params=params, kmax=kmax, mmax=mmax, values=values)
 
+
+def _fill_scalar(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Rows D[1..kmax, :] one after another, each cell in Python floats.
+
+    Row k reads row k-1 as two lists, hi and lo; the cell D[k, m-1] that
+    meets ca[k] is carried in locals.
+    """
+    values = np.empty((ca.size + 1, row0.size))
+    values[0] = row0 + 0.0  # hi + lo with lo = 0, as in the numpy fill
+    hi, lo = row0.tolist(), [0.0] * row0.size
+    for a, b, out in zip(ca.tolist(), cb.tolist(), values[1:]):
+        ah = _SPLIT * a
+        ah -= ah - a
+        al = a - ah
+        bh = _SPLIT * b
+        bh -= bh - b
+        bl = b - bh
+        h = l = 0.0
+        row_hi, row_lo = [h], [l]
+        for ph, pl in zip(hi, lo[:-1]):
+            # a * (h, l) and b * (ph, pl), each with Dekker's error of the hi part
+            t1h = a * h
+            c = _SPLIT * h
+            xh = c - (c - h)
+            xl = h - xh
+            t1e = ((((ah * xh - t1h) + ah * xl) + al * xh) + al * xl) + a * l
+            t2h = b * ph
+            c = _SPLIT * ph
+            xh = c - (c - ph)
+            xl = ph - xh
+            t2e = ((((bh * xh - t2h) + bh * xl) + bl * xh) + bl * xl) + b * pl
+            # two-sum t1h + t2h, every remainder folded into err
+            sh = t1h + t2h
+            bb = sh - t1h
+            err = (((t1h - (sh - bb)) + (t2h - bb)) + t1e) + t2e
+            # two-sum sh + err is the cell
+            h = sh + err
+            bb = h - sh
+            l = (sh - (h - bb)) + (err - bb)
+            row_hi.append(h)
+            row_lo.append(l)
+        hi, lo = row_hi, row_lo
+        out[:] = hi
+        out += lo
+    return values
+
+
+def _fill_numpy(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """All rows at once, m-major, each row held twice, so that step m forms
+    ca*D[k, m-1] and cb*D[k-1, m-1] as one operation on contiguous memory:
+    a step is a fixed 30 numpy calls into preallocated buffers."""
+    kmax, mmax = ca.size, row0.size - 1
     # rows[m, 0] and rows[m, 1] hold D[0..kmax, m] as hi + lo, each twice
     rows = np.zeros((mmax + 1, 2, 2, kmax + 1))
-    rows[0, 0, :, 0] = 1.0
-    if mmax >= 1:
-        rows[1:, 0, :, 0] = (params.tau ** np.arange(1, mmax + 1))[:, None]
+    rows[:, 0, :, 0] = row0[:, None]
     if kmax:
         # coef[0, k] = ca[k] meets D[k, m-1]; coef[1, k-1] = cb[k] meets D[k-1, m-1]
         coef = np.zeros((2, kmax + 1))
@@ -280,7 +347,4 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
             sub(err, bb, out=bb)
             add(u, bb, out=out_lo)
             np.copyto(copy, first)
-
-    values = (rows[:, 0, 0] + rows[:, 1, 0]).T.copy()
-    values.flags.writeable = False
-    return DSymbolTable(params=params, kmax=kmax, mmax=mmax, values=values)
+    return (rows[:, 0, 0] + rows[:, 1, 0]).T.copy()

@@ -85,13 +85,13 @@ class SqueezerConfig:
     xi: float
 
     def __post_init__(self) -> None:
-        if self.xi < 0:
-            raise ValueError(f"squeezing strength must be >= 0, got xi={self.xi}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"squeezing strength must be finite and >= 0, got xi={self.xi}")
 
     @classmethod
     def from_mu(cls, mu: float) -> "SqueezerConfig":
-        if mu < 1.0:
-            raise ValueError(f"gain must satisfy mu >= 1, got {mu}")
+        if not 1.0 <= mu < math.inf:
+            raise ValueError(f"gain must be finite with mu >= 1, got {mu}")
         return cls(math.acosh(mu))
 
     @property

@@ -86,6 +86,13 @@ class DeltaTerm:
             raise ValueError("coefficient must be finite")
 
 
+def _finite_amplitude(alpha: complex) -> complex:
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class PhaseSpaceMixture:
     """Finite mixture of Gaussian and delta terms; immutable.
@@ -106,25 +113,20 @@ class PhaseSpaceMixture:
 
     @classmethod
     def coherent(cls, alpha: complex) -> "PhaseSpaceMixture":
-        return cls(deltas=(DeltaTerm(1.0, complex(alpha)),))
+        return cls(deltas=(DeltaTerm(1.0, _finite_amplitude(alpha)),))
 
     @classmethod
     def thermal(cls, nbar: float) -> "PhaseSpaceMixture":
-        if nbar < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-        if nbar == 0:
-            return cls.vacuum()
-        return cls(gaussians=(GaussianTerm(1.0 / (math.pi * nbar), 0j, 1.0 / nbar),))
+        return cls.displaced_thermal(0j, nbar)
 
     @classmethod
     def displaced_thermal(cls, alpha0: complex, nbar: float) -> "PhaseSpaceMixture":
-        if nbar < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+        alpha0 = _finite_amplitude(alpha0)
+        if not 0 <= nbar < math.inf:
+            raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
         if nbar == 0:
             return cls.coherent(alpha0)
-        return cls(
-            gaussians=(GaussianTerm(1.0 / (math.pi * nbar), complex(alpha0), 1.0 / nbar),)
-        )
+        return cls(gaussians=(GaussianTerm(1.0 / (math.pi * nbar), alpha0, 1.0 / nbar),))
 
     # -- basic queries ------------------------------------------------------
 
@@ -342,6 +344,9 @@ class GridSpec:
     n_im: int
 
     def __post_init__(self) -> None:
+        extents = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, extents)):
+            raise ValueError(f"grid extents must be finite, got {extents}")
         if self.n_re < 1 or self.n_im < 1:
             raise ValueError("grid must have at least one cell per axis")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):

@@ -118,6 +118,23 @@ def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistr
     return ClickDistribution(probs=probs, det=det)
 
 
+def _comb_weight(n: int, k: int, a: float, b: float, q: int) -> float:
+    """C(n, k) * a**k * b**q for a >= 0, b > 0.
+
+    The plain float product wherever C(n, k) and a**k fit in a float; beyond
+    that range it is taken from logarithms, and a result beyond the float
+    range is +inf.
+    """
+    c = math.comb(n, k)
+    try:
+        return c * a**k * b**q
+    except OverflowError:
+        if a == 0.0:  # k >= 1, since C(n, k) overflowed
+            return 0.0
+        log_w = math.log(c) + k * math.log(a) + q * math.log(b)
+        return math.exp(log_w) if log_w < 709.0 else math.inf
+
+
 def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElement:
     """Poissonian counting element P_k: weights C(m,k) eta^k (1-eta)^(m-k).
 
@@ -135,7 +152,7 @@ def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElemen
         if eta == 1.0:
             weights[m] = 1.0 if m == k else 0.0
         else:
-            weights[m] = math.comb(m, k) * eta**k * (1.0 - eta) ** (m - k)
+            weights[m] = _comb_weight(m, k, eta, 1.0 - eta, m - k)
     weights.flags.writeable = False
     return DiagonalPOVMElement(weights=weights, kind="photoelectric", k=k, eta=eta)
 
@@ -163,12 +180,8 @@ def _photoelectric_tail_sup(eta: float, k: int, start: int) -> float:
     """
     if eta == 1.0:
         return 1.0 if start <= k else 0.0
-
-    def w(m: int) -> float:
-        return math.comb(m, k) * eta**k * (1.0 - eta) ** (m - k)
-
     m_star = max(start, math.ceil(k / eta) - 1)
-    return max(w(m) for m in range(start, m_star + 2))
+    return max(_comb_weight(m, k, eta, 1.0 - eta, m - k) for m in range(start, m_star + 2))
 
 
 def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> OperatorNormDistance:
@@ -184,13 +197,14 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
         # k = 0: both elements are (1-eta)^m exactly.  eta = 0, k >= 1: both vanish.
         return OperatorNormDistance(0.0, 0.0, 0.0, cutoff)
 
-    click = click_povm_element(det, k, cutoff).weights
     pe = photoelectric_element(det.eta, k, cutoff).weights
+    # row k of the recursion needs rows 0..k only
+    click = click_kernel_table(det, k, cutoff - 1).row(k)
     grid_sup = float(np.max(np.abs(pe - click)))
 
     # tail: both sequences are non-negative, so |P - Pi| <= max of their sups
     pe_tail = _photoelectric_tail_sup(det.eta, k, cutoff)
     base = 1.0 - det.eta * (1.0 - k / det.N)  # dominant geometric base of D[k, m]
-    click_tail = min(1.0, math.comb(det.N, k) * 2.0**k * base**cutoff)
+    click_tail = min(1.0, _comb_weight(det.N, k, 2.0, base, cutoff))
     tail_bound = max(pe_tail, click_tail)
     return OperatorNormDistance(max(grid_sup, tail_bound), grid_sup, tail_bound, cutoff)

@@ -237,6 +237,39 @@ def test_zero_grid_cells_is_validation_error(tmp_path, capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+def test_infinite_grid_extent_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, ADD_CONFIG)
+    argv = ["add", "--config", cfg, "--out", str(tmp_path), "--grid=-1,inf,-1,1,2,2"]
+    assert main(argv) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not list(tmp_path.glob("pfunction*"))
+
+
+def test_infinite_coherent_amplitude_is_validation_error(tmp_path, capsys):
+    payload = {
+        "schema": 1,
+        "protocol": "subtract",
+        "input": {"kind": "coherent", "alpha": [float("inf"), 0]},
+        "detector": {"N": 4, "eta": 0.5},
+        "optics": {"t": 0.7},
+        "clicks": 4,
+    }
+    cfg = write_config(tmp_path, payload)
+    assert "Infinity" in Path(cfg).read_text()
+    assert main(["subtract", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k,n,cutoff", [("400", "1024", "2048"), ("550", "1100", "600")])
+def test_errorbound_beyond_float_binomials(tmp_path, k, n, cutoff):
+    # C(N, k) and the photoelectric binomials exceed the float range here
+    argv = ["errorbound", "--eta", "0.5", "--k", k, "--N", n, "--cutoff", cutoff]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    row = (tmp_path / "errorbound.csv").read_text().splitlines()[1].split(",")
+    n_out, distance, grid_sup, tail_bound = (float(x) for x in row)
+    assert n_out == int(n) and np.isfinite(grid_sup) and distance == tail_bound == 1.0
+
+
 def test_non_numeric_errorbound_n_is_parse_error(tmp_path, capsys):
     argv = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2,x", "--out", str(tmp_path)]
     assert main(argv) == 1

@@ -6,7 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clickcraft import DSymbolParams, d_direct, d_exact, d_recursive
+from clickcraft import (
+    DetectorConfig,
+    DSymbolParams,
+    click_kernel_table,
+    click_povm_element,
+    d_direct,
+    d_exact,
+    d_recursive,
+)
+from clickcraft.dsymbol import _NUMPY_KMAX
 
 
 def test_direct_initial_value():
@@ -185,15 +194,25 @@ def _reference_recursion(params, kmax, mmax):
 
 
 def _bit_cases():
+    switch = _NUMPY_KMAX  # the narrowest table filled by numpy
     edges = [
         (1, 1, 0, 0.3, 0.7),  # mmax = 0
         (5, 0, 40, 0.3, 0.7),  # kmax = 0
         (1, 1, 60, 0.25, 0.75),  # N = 1
-        (8, 8, 50, 1.0, 0.0),  # eta = 0
-        (8, 8, 50, 0.0, 1.0),  # eta = 1
-        (6, 6, 40, -1.7, 1.7),  # subtraction regime, tau < 0
         (16, 12, 80, 0.2, 1.8),  # sigma > 1
         (64, 64, 127, 0.2, 0.8),
+        # either side of the switch between the two evaluation orders
+        (40, switch - 1, 90, 0.35, 0.65),
+        (40, switch, 90, 0.35, 0.65),
+        (40, switch + 1, 90, 0.35, 0.65),
+        (8, 2, 2000, 0.3, 0.7),  # narrow, with a long mmax
+        # eta = 0, eta = 1 and tau < 0 (subtraction regime), narrow and wide
+        (8, 8, 50, 1.0, 0.0),
+        (8, 8, 50, 0.0, 1.0),
+        (6, 6, 40, -1.7, 1.7),
+        (24, 20, 50, 1.0, 0.0),
+        (24, 20, 50, 0.0, 1.0),
+        (24, 24, 40, -1.7, 1.7),
     ]
     rng = np.random.default_rng(20140321)
     randoms = []
@@ -215,3 +234,15 @@ def test_d_recursive_bit_identical_to_reference_recursion():
         assert values.shape == (kmax + 1, mmax + 1), case
         assert values.flags.c_contiguous and not values.flags.writeable, case
         assert np.array_equal(values.view(np.uint64), expect.view(np.uint64)), case
+
+
+def test_narrow_table_rows_equal_full_table_rows():
+    # click_povm_element reads row k of the N+1-row table; a table built with
+    # kmax = k holds the same row, whichever evaluation order each one takes
+    for det in (DetectorConfig(40, 0.7), DetectorConfig(9, 0.45)):
+        for k in sorted({1, 3, _NUMPY_KMAX - 1, _NUMPY_KMAX, _NUMPY_KMAX + 1, det.N}):
+            if k > det.N:
+                continue
+            full = click_povm_element(det, k, 128).weights
+            narrow = click_kernel_table(det, k, 127).row(k)
+            assert np.array_equal(full.view(np.uint64), narrow.view(np.uint64)), (det, k)

@@ -155,6 +155,21 @@ def test_beam_splitter_config_validation():
 # --- two-mode squeezer ------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SqueezerConfig(math.nan),
+        lambda: SqueezerConfig(math.inf),
+        lambda: SqueezerConfig.from_mu(math.nan),
+        lambda: SqueezerConfig.from_mu(math.inf),
+    ],
+    ids=["xi-nan", "xi-inf", "mu-nan", "mu-inf"],
+)
+def test_squeezer_rejects_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_squeezer_vacuum_image():
     mu = 1.5
     sq = SqueezerConfig.from_mu(mu)

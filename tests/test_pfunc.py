@@ -411,3 +411,18 @@ def test_term_algebra_bit_identical_to_per_term_loops():
                     got, ref = moment(out, p, q), _reference_moment(out, p, q)
                     assert _bits_complex(got) == _bits_complex(ref), (p, q)
     assert dropped_any  # pruning removed terms somewhere
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PhaseSpaceMixture.coherent(complex(math.inf, 0.0)),
+        lambda: PhaseSpaceMixture.displaced_thermal(complex("nan"), 0.5),
+        lambda: PhaseSpaceMixture.thermal(math.inf),
+        lambda: GridSpec(-1.0, math.inf, -1.0, 1.0, 2, 2),
+    ],
+    ids=["coherent-inf", "displaced-nan", "thermal-inf", "grid-inf"],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()

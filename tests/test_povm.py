@@ -8,9 +8,11 @@ import pytest
 
 from clickcraft import (
     DetectorConfig,
+    DSymbolParams,
     click_povm_element,
     click_statistics,
     d_exact,
+    d_recursive,
     make_state,
     operator_norm_distance,
     photoelectric_element,
@@ -161,6 +163,52 @@ def test_distance_bounds_expectation_deviation():
         for state in states:
             p = photon_distribution(state)
             assert abs(p @ click - p @ pe) <= bound + 1e-12
+
+
+def _distance_from_full_table(det, k, cutoff, full):
+    """operator_norm_distance as it read row k of the N+1-row kernel table."""
+    click = full.row(k)
+    eta = det.eta
+
+    def w(m):
+        return math.comb(m, k) * eta**k * (1.0 - eta) ** (m - k)
+
+    pe = np.zeros(cutoff)
+    pe[k:] = [w(m) for m in range(k, cutoff)]
+    grid_sup = float(np.max(np.abs(pe - click)))
+    pe_tail = max(w(m) for m in range(cutoff, max(cutoff, math.ceil(k / eta) - 1) + 2))
+    base = 1.0 - eta * (1.0 - k / det.N)
+    click_tail = min(1.0, math.comb(det.N, k) * 2.0**k * base**cutoff)
+    return grid_sup, max(pe_tail, click_tail)
+
+
+def test_distance_bits_match_full_table_route():
+    for cutoff, eta in ((128, 0.37), (512, 0.81)):
+        for n in range(2, 65):
+            det = DetectorConfig(n, eta)
+            full = d_recursive(DSymbolParams.for_detector(n, eta), n, cutoff - 1)
+            for k in range(1, min(n, 3) + 1):
+                res = operator_norm_distance(det, k, cutoff)
+                grid_sup, tail_bound = _distance_from_full_table(det, k, cutoff, full)
+                got = np.array([res.value, res.grid_sup, res.tail_bound])
+                expect = np.array([max(grid_sup, tail_bound), grid_sup, tail_bound])
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (n, k, cutoff)
+
+
+def _exact_binomial_weight(m, k, eta):
+    eta_q = Fraction(eta)
+    return float(math.comb(m, k) * eta_q**k * (1 - eta_q) ** (m - k))
+
+
+def test_photoelectric_weights_beyond_float_binomials():
+    # C(m, 400) exceeds the float range from m = 1084 on
+    eta, k, cutoff = 0.5, 400, 2048
+    weights = photoelectric_element(eta, k, cutoff).weights
+    assert np.all(np.isfinite(weights)) and weights[:k].max() == 0.0
+    for m in (400, 800, 1083, 1084, 1400, 2047):
+        assert weights[m] == pytest.approx(_exact_binomial_weight(m, k, eta), rel=1e-11, abs=1e-300)
+    # where the binomial fits, the weight is the plain float product
+    assert weights[1000] == math.comb(1000, k) * eta**k * (1.0 - eta) ** (1000 - k)
 
 
 def test_detector_validation():
