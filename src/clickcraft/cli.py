@@ -27,6 +27,7 @@ import json
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .fock import (
     BeamSplitterConfig,
     CutoffError,
     NumericalError,
+    ProcessOutcome,
     SqueezerConfig,
     make_state,
     photon_distribution,
@@ -221,11 +223,16 @@ def _grid_from_flag(text: str) -> GridSpec:
 
 
 def _clicks_list(node, n_max: int) -> list[int]:
+    """``"all"`` (or no field), one click number or a list of them; a click
+    number outside 0..n_max is an invalid parameter, raised before any
+    output is written."""
     if node == "all" or node is None:
         return list(range(n_max + 1))
-    if isinstance(node, list):
-        return [_integer(k, "clicks") for k in node]
-    return [_integer(node, "clicks")]
+    clicks = [_integer(k, "clicks") for k in (node if isinstance(node, list) else [node])]
+    for k in clicks:
+        if not 0 <= k <= n_max:
+            raise ValueError(f"click number k={k} outside 0..{n_max}")
+    return clicks
 
 
 # ---------------------------------------------------------------------------
@@ -251,37 +258,45 @@ def _write_grid(
     return [f"{stem}.json"]
 
 
-def _mixture_terms_payload(mixture: PhaseSpaceMixture, probability: float) -> dict:
-    return {
-        "probability": probability,
-        "gaussians": [
-            {"c": g.c, "z": [g.z.real, g.z.imag], "a": g.a} for g in mixture.gaussians
-        ],
-        "deltas": [{"c": d.c, "z": [d.z.real, d.z.imag]} for d in mixture.deltas],
-        "pruned_mass": mixture.dropped,
+def _write_outcome(
+    outdir: Path, key: str, fmt: str, outcome: ProcessOutcome, grid: GridSpec | None
+) -> list[str]:
+    """``terms_<key>.json`` (the output mixture's terms) and, given a grid,
+    ``pfunction_<key>`` (its P function on the grid)."""
+    state, files = outcome.state, [f"terms_{key}.json"]
+    terms = {
+        "probability": outcome.probability,
+        "gaussians": [{"c": g.c, "z": [g.z.real, g.z.imag], "a": g.a} for g in state.gaussians],
+        "deltas": [{"c": d.c, "z": [d.z.real, d.z.imag]} for d in state.deltas],
+        "pruned_mass": state.dropped,
     }
+    _write_json(outdir / files[0], terms)
+    if grid is not None:
+        files += _write_grid(outdir, f"pfunction_{key}", fmt, evaluate_grid(state, grid), grid)
+    return files
 
 
-_INT_COLUMNS = ("n", "k", "N")
+# the CSV format of each integer or fixed-point column; a column not named
+# here holds floats, printed by ``_float_texts``
+_COLUMN_FORMATS = {
+    "n": "%d", "k": "%d", "N": "%d", "k1": "%d", "k2": "%d", "percent": "%.2f"
+}
 
 
 def _write_distribution(
-    outdir: Path, stem: str, fmt: str, columns: dict[str, np.ndarray]
+    outdir: Path, stem: str, fmt: str, columns: dict[str, np.ndarray | list]
 ) -> list[str]:
     if fmt == "csv":
-        line = ",".join("%d" if n in _INT_COLUMNS else "%s" for n in columns) + "\n"
+        line = ",".join(_COLUMN_FORMATS.get(n, "%s") for n in columns) + "\n"
         texts = [
-            np.asarray(col).tolist() if n in _INT_COLUMNS else _float_texts(col)
+            np.asarray(col).tolist() if n in _COLUMN_FORMATS else _float_texts(col)
             for n, col in columns.items()
         ]
-        _write_csv(
-            outdir / f"{stem}.csv",
-            ",".join(columns),
-            [(line * len(texts[0]), [cell for row in zip(*texts) for cell in row])],
-        )
+        cells = [cell for row in zip(*texts) for cell in row]
+        _write_csv(outdir / f"{stem}.csv", ",".join(columns), [(line * len(texts[0]), cells)])
         return [f"{stem}.csv"]
     payload = {
-        n: np.asarray(col, dtype=int if n in _INT_COLUMNS else float)
+        n: np.asarray(col, dtype=int if _COLUMN_FORMATS.get(n) == "%d" else float)
         for n, col in columns.items()
     }
     _write_json(outdir / f"{stem}.json", payload)
@@ -307,18 +322,13 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
     summary = {"clicks": clicks, "probabilities": []}
     for k in clicks:
         res = herald_tmsv_distribution(omega, det, k, cutoff)
-        n = np.arange(res.weights.size)
-        files += _write_distribution(
-            outdir,
-            f"herald_k{k}",
-            fmt,
-            {"n": n, "weight": res.weights, "normalized": res.normalized},
-        )
+        columns = {"n": np.arange(res.weights.size), "weight": res.weights,
+                   "normalized": res.normalized}
+        files += _write_distribution(outdir, f"herald_k{k}", fmt, columns)
         summary["probabilities"].append(res.probability)
     _write_json(outdir / "summary.json", summary)
     files.append("summary.json")
-    resolved = {"omega": omega, "detector": {"N": det.N, "eta": det.eta}, "clicks": clicks}
-    return files, resolved
+    return files, {"omega": omega, "detector": asdict(det), "clicks": clicks}
 
 
 def _conditioning_protocol(
@@ -329,7 +339,7 @@ def _conditioning_protocol(
     optics = _require(config, "optics")
     if protocol == "subtract":
         bs = BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
-        make_spec = lambda k: SubtractionSpec(bs, det, k)
+        spec, run = SubtractionSpec(bs, det, 0), subtract
         resolved_optics = {"t": bs.t, "r": bs.r}
     else:
         sq = (
@@ -337,32 +347,20 @@ def _conditioning_protocol(
             if "mu" in optics
             else SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
         )
-        make_spec = lambda k: AdditionSpec(sq, det, k)
+        spec, run = AdditionSpec(sq, det, 0), add
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
     clicks = _clicks_list(config.get("clicks"), det.N)
-    run = subtract if protocol == "subtract" else add
 
     files: list[str] = []
     summary = {"clicks": clicks, "probabilities": []}
     for k in clicks:
-        outcome = run(p_in, make_spec(k))
+        outcome = run(p_in, replace(spec, k=k))
         summary["probabilities"].append(outcome.probability)
-        _write_json(
-            outdir / f"terms_k{k}.json",
-            _mixture_terms_payload(outcome.state, outcome.probability),
-        )
-        files.append(f"terms_k{k}.json")
-        if grid is not None:
-            matrix = evaluate_grid(outcome.state, grid)
-            files += _write_grid(outdir, f"pfunction_k{k}", fmt, matrix, grid)
+        files += _write_outcome(outdir, f"k{k}", fmt, outcome, grid)
     _write_json(outdir / "summary.json", summary)
     files.append("summary.json")
-    resolved = {
-        "detector": {"N": det.N, "eta": det.eta},
-        "optics": resolved_optics,
-        "clicks": clicks,
-        "eta_eff": make_spec(clicks[0]).eta_eff,
-    }
+    resolved = {"detector": asdict(det), "optics": resolved_optics, "clicks": clicks,
+                "eta_eff": spec.eta_eff}
     return files, resolved
 
 
@@ -380,57 +378,35 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     det1 = _detector_from(_require(add_node, "detector"))
     det2 = _detector_from(_require(sub_node, "detector"))
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))
-    # the grid's click pairs, parsed before any output is written
-    clicks_node = config.get("clicks", "all")
-    if isinstance(clicks_node, dict):
-        k1_list = _clicks_list(clicks_node.get("k1"), det1.N)
-        k2_list = _clicks_list(clicks_node.get("k2"), det2.N)
-    elif isinstance(clicks_node, list) and len(clicks_node) == 2:
-        k1_list = [_integer(clicks_node[0], "clicks")]
-        k2_list = [_integer(clicks_node[1], "clicks")]
-    else:
-        k1_list = _clicks_list(clicks_node, det1.N)
-        k2_list = _clicks_list(clicks_node, det2.N)
+    # the grid's click pairs, {"k1": ..., "k2": ...} or one value for both
+    # stages, parsed before any output is written
+    node = config.get("clicks", "all")
+    k1_node, k2_node = (node.get("k1"), node.get("k2")) if isinstance(node, dict) else (node, node)
+    k1_list, k2_list = _clicks_list(k1_node, det1.N), _clicks_list(k2_node, det2.N)
 
     table = probability_table(spec, beta)
-    percent = (100.0 * table).ravel().tolist()
-    files: list[str] = []
+    percent = 100.0 * table
     if fmt == "csv":
-        k1, k2 = np.indices(table.shape).reshape(2, -1).tolist()
-        rows = zip(k1, k2, _float_texts(table), percent)
-        _write_csv(
-            outdir / "probability_table.csv",
-            "k1,k2,probability,percent",
-            [("%d,%d,%s,%.2f\n" * table.size, [cell for row in rows for cell in row])],
-        )
-        files.append("probability_table.csv")
+        k1, k2 = np.indices(table.shape).reshape(2, -1)
+        columns = {"k1": k1, "k2": k2, "probability": table.ravel(), "percent": percent.ravel()}
+        files = _write_distribution(outdir, "probability_table", fmt, columns)
     else:
-        percent_text = ("%.2f\n" * table.size % tuple(percent)).split()
-        payload = {
-            "N1": det1.N,
-            "N2": det2.N,
-            "probabilities": table,
-            "percent": np.reshape(percent_text, table.shape),
-        }
+        texts = ("%.2f\n" * table.size % tuple(percent.ravel().tolist())).split()
+        payload = {"N1": det1.N, "N2": det2.N, "probabilities": table,
+                   "percent": np.reshape(texts, table.shape)}
         _write_json(outdir / "probability_table.json", payload)
-        files.append("probability_table.json")
+        files = ["probability_table.json"]
 
     if grid is not None:
         for k1 in k1_list:
             added = add(PhaseSpaceMixture.coherent(beta), replace(spec.add, k=k1))
             for k2 in k2_list:
                 outcome = subtract(added.state, replace(spec.sub, k=k2))
-                matrix = evaluate_grid(outcome.state, grid)
-                files += _write_grid(outdir, f"pfunction_k{k1}_{k2}", fmt, matrix, grid)
-                _write_json(
-                    outdir / f"terms_k{k1}_{k2}.json",
-                    _mixture_terms_payload(outcome.state, outcome.probability),
-                )
-                files.append(f"terms_k{k1}_{k2}.json")
+                files += _write_outcome(outdir, f"k{k1}_{k2}", fmt, outcome, grid)
     resolved = {
         "beta": [beta.real, beta.imag],
-        "addition": {"detector": {"N": det1.N, "eta": det1.eta}, "mu": sq.mu},
-        "subtraction": {"detector": {"N": det2.N, "eta": det2.eta}, "t": bs.t},
+        "addition": {"detector": asdict(det1), "mu": sq.mu},
+        "subtraction": {"detector": asdict(det2), "t": bs.t},
     }
     return files, resolved
 
@@ -455,13 +431,9 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
         probs = photon_distribution(state)
     det = _detector_from(_require(config, "detector"))
     dist = click_statistics(probs, det)
-    files = _write_distribution(
-        outdir,
-        "click_distribution",
-        fmt,
-        {"k": np.arange(det.N + 1), "probability": dist.probs},
-    )
-    return files, {"detector": {"N": det.N, "eta": det.eta}, "input_kind": kind}
+    columns = {"k": np.arange(det.N + 1), "probability": dist.probs}
+    files = _write_distribution(outdir, "click_distribution", fmt, columns)
+    return files, {"detector": asdict(det), "input_kind": kind}
 
 
 def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
@@ -472,30 +444,17 @@ def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
         raise ConfigError(f"N must be a list of diode counts, got {n_node!r}")
     n_values = [_integer(n, "diode counts N") for n in n_node]
     cutoff = _integer(config.get("cutoff", 512), "cutoff")
-    values, sups, tails = [], [], []
-    for n in n_values:
-        res = operator_norm_distance(DetectorConfig(n, eta), k, cutoff)
-        values.append(res.value)
-        sups.append(res.grid_sup)
-        tails.append(res.tail_bound)
-    files = _write_distribution(
-        outdir,
-        "errorbound",
-        fmt,
-        {
-            "N": np.asarray(n_values),
-            "distance": np.asarray(values),
-            "grid_sup": np.asarray(sups),
-            "tail_bound": np.asarray(tails),
-        },
-    )
+    res = [operator_norm_distance(DetectorConfig(n, eta), k, cutoff) for n in n_values]
+    columns = {"N": n_values, "distance": [r.value for r in res],
+               "grid_sup": [r.grid_sup for r in res], "tail_bound": [r.tail_bound for r in res]}
+    files = _write_distribution(outdir, "errorbound", fmt, columns)
     return files, {"eta": eta, "k": k, "N": n_values, "cutoff": cutoff}
 
 
 _RUNNERS = {
     "herald": _run_herald,
-    "subtract": lambda c, o, f, g: _conditioning_protocol("subtract", c, o, f, g),
-    "add": lambda c, o, f, g: _conditioning_protocol("add", c, o, f, g),
+    "subtract": partial(_conditioning_protocol, "subtract"),
+    "add": partial(_conditioning_protocol, "add"),
     "amplify": _run_amplify,
     "clickstats": _run_clickstats,
     "errorbound": _run_errorbound,
@@ -539,15 +498,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"not {args.protocol!r}"
             )
         # flag overrides
-        if args.protocol == "errorbound":
-            if args.eta is not None:
-                config["eta"] = args.eta
-            if args.k is not None:
-                config["k"] = args.k
-            if args.N is not None:
-                config["N"] = args.N.split(",")
-            if args.cutoff is not None:
-                config["cutoff"] = args.cutoff
+        for key in ("eta", "k", "N", "cutoff") if args.protocol == "errorbound" else ():
+            value = getattr(args, key)
+            if value is not None:
+                config[key] = value.split(",") if key == "N" else value
         fmt = args.format or config.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
@@ -570,13 +524,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.manifest:
-        manifest = {
-            "version": __version__,
-            "protocol": args.protocol,
-            "format": fmt,
-            "resolved": resolved,
-            "outputs": sorted(files),
-        }
+        manifest = {"version": __version__, "protocol": args.protocol, "format": fmt,
+                    "resolved": resolved, "outputs": sorted(files)}
         if grid is not None:
             manifest["grid"] = asdict(grid)
         _write_json(outdir / "manifest.json", manifest)

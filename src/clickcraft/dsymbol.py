@@ -41,12 +41,18 @@ import numpy as np
 __all__ = [
     "DSymbolParams",
     "DSymbolTable",
+    "NumericalError",
     "d_direct",
     "d_exact",
     "d_recursive",
 ]
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+
+
+class NumericalError(ValueError):
+    """A computed result is not trustworthy (e.g. a probability driven below
+    zero by cancellation); the inputs themselves were valid."""
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -222,6 +228,9 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     per step whatever kmax.  The two costs cross at kmax of about 16 to 24
     on a 2-core x86-64 machine; the switch sits at the low end, where the
     scalar fill is at worst about as fast as numpy.
+
+    A table that leaves the float range (large |tau| or sigma) raises
+    ``NumericalError``; in the detector regime tau + sigma = 1 it cannot.
     """
     if kmax < 0 or mmax < 0:
         raise ValueError("table bounds must be non-negative")
@@ -232,10 +241,13 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     karr = np.arange(1, kmax + 1, dtype=float)
     ca = params.tau + params.sigma * karr / n
     cb = params.sigma * (n - karr + 1.0) / n
-    row0 = np.ones(mmax + 1)
-    row0[1:] = params.tau ** np.arange(1, mmax + 1)
     fill = _fill_scalar if kmax < _NUMPY_KMAX else _fill_numpy
-    values = fill(row0, ca, cb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row0 = np.ones(mmax + 1)
+        row0[1:] = params.tau ** np.arange(1, mmax + 1)
+        values = fill(row0, ca, cb)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"kernel table of {params} overflows the float range")
     values.flags.writeable = False
     return DSymbolTable(params=params, kmax=kmax, mmax=mmax, values=values)
 

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dsymbol import NumericalError
 from .povm import DetectorConfig, click_povm_element
 
 __all__ = [
@@ -56,11 +57,6 @@ UNITARY_TAIL_TOL = 1e-8
 
 class CutoffError(Exception):
     """The requested truncation cannot represent the state to the tail tolerance."""
-
-
-class NumericalError(ValueError):
-    """A computed result is not trustworthy (e.g. a probability driven below
-    zero by cancellation); the inputs themselves were valid."""
 
 
 @dataclass(frozen=True)
@@ -137,14 +133,6 @@ class DensityMatrix:
         if not 0.0 < self.trace <= 1.0 + 1e-12:
             raise ValueError(f"trace {self.trace} outside (0, 1]")
 
-    def to_jsonable(self) -> dict:
-        """Row-major [re, im] pairs, for the CLI JSON dump format."""
-        flat = self.entries.reshape(-1)
-        return {
-            "cutoff": self.cutoff,
-            "entries": np.column_stack([flat.real, flat.imag]).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class TwoModeDensityMatrix:
@@ -188,13 +176,6 @@ class TwoModeDensityMatrix:
             raise ValueError(f"negative eigenvalue {evals.min()}")
         if not 0.0 < self.trace <= 1.0 + 1e-12:
             raise ValueError(f"trace {self.trace} outside (0, 1]")
-
-    def to_jsonable(self) -> dict:
-        flat = self.entries.reshape(-1)
-        return {
-            "cutoffs": list(self.cutoffs),
-            "entries": np.column_stack([flat.real, flat.imag]).tolist(),
-        }
 
 
 @dataclass(frozen=True)

@@ -175,13 +175,27 @@ class OperatorNormDistance:
 def _photoelectric_tail_sup(eta: float, k: int, start: int) -> float:
     """sup_{m >= start} C(m,k) eta^k (1-eta)^(m-k), exact.
 
-    The sequence decreases once m > k/eta - 1; before that it is evaluated
-    directly.
+    The sequence rises up to its mode floor(k/eta) and decreases after it,
+    so the sup is the largest float weight on start..top, top = ceil(k/eta)
+    (or start + 1 past the mode).  Only the end of that range can hold it.
+    ``_comb_weight`` is off by a relative error of at most
+    2**-50 (2 + k (2 log top + 1)): a few ulps of its float products, or,
+    past the float range, the error of its logarithms.  Two weights can
+    tie only if their logs differ by less than tol, twice that.  The log
+    weight is concave with curvature at least 1/var below top,
+    var = top (top - k) / k ~ k (1 - eta) / eta**2, so a weight more than
+    sqrt(2 tol var) + 2 below the mode cannot tie and is not evaluated.
+    The window is capped at 2**16 weights, reached from eta of about 1e-10
+    to 1e-11 at k <= 5; past that the result is the mode's weight or one
+    within tol of it.
     """
     if eta == 1.0:
         return 1.0 if start <= k else 0.0
-    m_star = max(start, math.ceil(k / eta) - 1)
-    return max(_comb_weight(m, k, eta, 1.0 - eta, m - k) for m in range(start, m_star + 2))
+    top = max(start, math.ceil(k / eta) - 1) + 1
+    tol = 2.0**-50 * (4 + 2 * k * (2 * math.log(top) + 1))
+    half_width = math.ceil(min(math.sqrt(2 * tol * (top / k) * (top - k)), 2.0**16)) + 2
+    lo = max(start, top - 1 - half_width)
+    return max(_comb_weight(m, k, eta, 1.0 - eta, m - k) for m in range(lo, top + 1))
 
 
 def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> OperatorNormDistance:

@@ -343,6 +343,51 @@ def test_non_integer_field_is_parse_error(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("protocol", ["subtract", "add"])
+def test_empty_click_list_runs(tmp_path, protocol):
+    # used to escape as an IndexError from the spec of clicks[0]
+    payload = {**ADD_CONFIG, "protocol": protocol, "optics": {"t": 0.7, "mu": 1.4}, "clicks": []}
+    out = tmp_path / "out"
+    argv = [protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv + ["--manifest"]) == 0
+    assert json.loads((out / "summary.json").read_text()) == {"clicks": [], "probabilities": []}
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["eta_eff"] > 0
+
+
+# each config wrote the outputs of the click numbers before the bad one (or
+# the whole amplifier table) and then exited 2
+OUT_OF_RANGE_CLICKS = {
+    "subtract_list": {
+        **ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7},
+        "detector": {"N": 4, "eta": 0.8}, "clicks": [0, 7],
+    },
+    "add_negative": {**ADD_CONFIG, "detector": {"N": 4, "eta": 0.8}, "clicks": [1, -1]},
+    "herald_list": {**HERALD_CONFIG, "clicks": [1, 5]},
+    "amplify_k1": _amplify_pair_config({"k1": [5], "k2": [0]}),
+    "amplify_both_stages": _amplify_pair_config([1, 5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CLICKS))
+def test_out_of_range_click_writes_nothing(tmp_path, capsys, case):
+    payload = OUT_OF_RANGE_CLICKS[case]
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 2
+    assert "outside 0..4" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_amplify_click_list_applies_to_both_stages(tmp_path):
+    # [1, 2] used to mean the single pair (k1, k2) = (1, 2), and [1, 2, 3]
+    # every pair of {1, 2, 3}
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _amplify_pair_config([1, 2]))
+    assert main(["amplify", "--config", cfg, "--out", str(out)]) == 0
+    grids = sorted(path.name for path in out.glob("pfunction_*.csv"))
+    assert grids == [f"pfunction_k{k1}_{k2}.csv" for k1 in (1, 2) for k2 in (1, 2)]
+
+
 # each config ran on the bool as 1.0 (exit 0, or exit 2 where 1.0 is out of
 # range), failed on the text as an invalid parameter (exit 2) or, for a
 # scalar probs, raised a TypeError

@@ -1,6 +1,7 @@
 """Click-kernel tests: initial values, identities, and the three-route agreement."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from clickcraft import (
     d_exact,
     d_recursive,
 )
-from clickcraft.dsymbol import _NUMPY_KMAX
+import clickcraft
+import clickcraft.fock
+from clickcraft.dsymbol import _NUMPY_KMAX, NumericalError
 
 
 def test_direct_initial_value():
@@ -246,3 +249,18 @@ def test_narrow_table_rows_equal_full_table_rows():
             full = click_povm_element(det, k, 128).weights
             narrow = click_kernel_table(det, k, 127).row(k)
             assert np.array_equal(full.view(np.uint64), narrow.view(np.uint64)), (det, k)
+
+
+@pytest.mark.parametrize("kmax", [8, _NUMPY_KMAX], ids=["scalar", "numpy"])
+def test_d_recursive_overflow_is_numerical_error(kmax):
+    # both fills used to return tables of inf and nan, the numpy one with a
+    # RuntimeWarning only
+    params = DSymbolParams(_NUMPY_KMAX, 1e200, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            d_recursive(params, kmax, 8)
+
+
+def test_numerical_error_is_one_class():
+    assert clickcraft.NumericalError is clickcraft.fock.NumericalError is NumericalError

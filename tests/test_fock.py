@@ -297,14 +297,6 @@ def test_density_matrix_validate_catches_bad_operators():
         DensityMatrix(4, bad).validate()
 
 
-def test_jsonable_round_trip_shape():
-    rho = make_state("coherent", 12, alpha=0.3 + 0.1j)
-    payload = rho.to_jsonable()
-    assert payload["cutoff"] == 12
-    assert len(payload["entries"]) == 144
-    assert all(len(pair) == 2 for pair in payload["entries"])
-
-
 # --- ket ensemble against the dense definition --------------------------------
 
 

@@ -2,10 +2,17 @@
 
 Each shipped config runs once as CSV and once as JSON with ``--manifest``,
 and every output file must hash to the value pinned below.  Output writers
-may be rewritten freely as long as these bytes hold.  The grid files depend
-on the last bit of numpy's ``exp``, so the hashes were recorded with numpy
-2.4.6 on x86-64 Linux; another numpy build may legitimately differ in the
-grid files alone.
+may be rewritten freely as long as these bytes hold.
+
+The hashes were recorded with numpy 2.4.6 on x86-64 Linux with numpy's
+AVX-512 kernels dispatched, and they hold only there.  The grid files depend
+on the last bit of numpy's ``exp``, and ``herald_k0.*`` on that of its
+vectorized ``**`` (the ``omega ** arange`` and ``tau ** arange`` rows); both
+follow the SIMD kernels numpy dispatches.  With
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` numpy's ``exp``
+and ``**`` match libm, and 8 of the 10 cases fail: every grid file moves,
+and so does ``herald_k0.*``; only the two table1 cases hold.  A machine or
+numpy build without those kernels fails the same way.
 """
 
 import contextlib

@@ -1,6 +1,7 @@
 """POVM elements, click statistics, and the photoelectric comparison bound."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from clickcraft import (
     photoelectric_element,
     photon_distribution,
 )
+from clickcraft import povm
 
 
 def test_no_click_element_weights():
@@ -216,3 +218,44 @@ def test_detector_validation():
         DetectorConfig(0, 0.5)
     with pytest.raises(ValueError):
         DetectorConfig(4, 1.2)
+
+
+def _counted_weights(monkeypatch, limit=10**5):
+    """Count ``_comb_weight`` calls in ``povm``, failing past ``limit``."""
+    calls = [0]
+    weight = povm._comb_weight
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= limit, "the tail scan evaluates too many weights"
+        return weight(*args)
+
+    monkeypatch.setattr(povm, "_comb_weight", counted)
+    return calls
+
+
+def test_photoelectric_tail_sup_matches_full_scan(monkeypatch):
+    # the sup over m >= start is the largest float weight on start..top,
+    # top = ceil(k/eta); the scan evaluates only a window ending at top
+    weight = povm._comb_weight
+    calls = _counted_weights(monkeypatch)
+    for eta in (1e-2, 1e-3, 1e-4, 1e-5):
+        for k in range(1, 6):
+            top = math.ceil(k / eta)
+            weights = [weight(m, k, eta, 1.0 - eta, m - k) for m in range(top + 8)]
+            calls[0] = 0
+            for start in (0, k, top // 2, top - 3, top - 1, top, top + 1, top + 6):
+                full_scan = max(weights[start : max(start, top - 1) + 2])
+                assert povm._photoelectric_tail_sup(eta, k, start) == full_scan, (eta, k, start)
+            assert calls[0] <= 8 * 20, (eta, k, calls[0])
+
+
+def test_photoelectric_tail_sup_at_tiny_efficiency(monkeypatch):
+    # the scan used to take time proportional to k/eta: hours at eta = 1e-9
+    _counted_weights(monkeypatch)
+    start = time.perf_counter()
+    res = operator_norm_distance(DetectorConfig(4, 1e-9), 3, 16)
+    assert time.perf_counter() - start < 1.0
+    # the mode's weight tends to k^k e^-k / k! as eta -> 0
+    assert povm._photoelectric_tail_sup(1e-9, 3, 16) == pytest.approx(4.5 * math.exp(-3))
+    assert res.tail_bound == 1.0  # the click tail bound saturates here
