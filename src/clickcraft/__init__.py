@@ -29,6 +29,7 @@ from .pfunc import (
     GaussianTerm,
     GridSpec,
     PhaseSpaceMixture,
+    click_factor_integrals,
     convolve_noise,
     evaluate_grid,
     husimi_smooth,

@@ -223,16 +223,16 @@ def _grid_from_flag(text: str) -> GridSpec:
 
 
 def _clicks_list(node, n_max: int) -> list[int]:
-    """``"all"`` (or no field), one click number or a list of them; a click
-    number outside 0..n_max is an invalid parameter, raised before any
-    output is written."""
+    """``"all"`` (or no field), one click number or a list of them, each
+    repeat dropped (first occurrences in order); a click number outside
+    0..n_max is an invalid parameter, raised before any output is written."""
     if node == "all" or node is None:
         return list(range(n_max + 1))
     clicks = [_integer(k, "clicks") for k in (node if isinstance(node, list) else [node])]
     for k in clicks:
         if not 0 <= k <= n_max:
             raise ValueError(f"click number k={k} outside 0..{n_max}")
-    return clicks
+    return list(dict.fromkeys(clicks))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "GaussianTerm",
     "GridSpec",
     "PhaseSpaceMixture",
+    "click_factor_integrals",
     "convolve_noise",
     "evaluate_grid",
     "husimi_smooth",
@@ -254,6 +255,22 @@ def _click_factor_value(eta_eff: float, n_diodes: int, k: int, abs2: float) -> f
     return math.comb(n_diodes, k) * e ** (n_diodes - k) * (1.0 - e) ** k
 
 
+def _click_expansion(eta_eff: float, n_diodes: int, k: int) -> list[tuple[int, float]]:
+    """(signed binomial coefficient, exponent) of each term j = 0..k of the
+    expanded k-click factor; the exponent does not depend on k."""
+    if eta_eff < 0:
+        raise ValueError(f"effective efficiency must be >= 0, got {eta_eff}")
+    if n_diodes < 1:
+        raise ValueError(f"need at least one diode, got N={n_diodes}")
+    if not 0 <= k <= n_diodes:
+        raise ValueError(f"click number k={k} outside 0..{n_diodes}")
+    cnk = math.comb(n_diodes, k)
+    return [
+        (cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1), eta_eff * (1.0 - j / n_diodes))
+        for j in range(k + 1)
+    ]
+
+
 def multiply_click_factor(
     mixture: PhaseSpaceMixture,
     eta_eff: float,
@@ -269,23 +286,11 @@ def multiply_click_factor(
     product of Gaussians is completed to a Gaussian again, so the term count
     multiplies by (k+1).
     """
-    if eta_eff < 0:
-        raise ValueError(f"effective efficiency must be >= 0, got {eta_eff}")
-    if n_diodes < 1:
-        raise ValueError(f"need at least one diode, got N={n_diodes}")
-    if not 0 <= k <= n_diodes:
-        raise ValueError(f"click number k={k} outside 0..{n_diodes}")
-
+    expansion = _click_expansion(eta_eff, n_diodes, k)
     if eta_eff == 0.0:
         # no conditioning power: factor is 1 for k = 0 and 0 for k >= 1
         return mixture if k == 0 else PhaseSpaceMixture((), (), mixture.dropped)
 
-    cnk = math.comb(n_diodes, k)
-    # (signed binomial coefficient, exponent) of each term of the expansion
-    expansion = [
-        (cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1), eta_eff * (1.0 - j / n_diodes))
-        for j in range(k + 1)
-    ]
     gaussians = []
     for g in mixture.gaussians:
         a, z, c = g.a, g.z, g.c
@@ -303,6 +308,37 @@ def multiply_click_factor(
     )
     out = PhaseSpaceMixture(tuple(gaussians), deltas, mixture.dropped)
     return out.pruned() if prune else out
+
+
+def click_factor_integrals(mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int) -> list[float]:
+    """``integral(multiply_click_factor(mixture, eta_eff, n_diodes, k))`` for
+    k = 0..N, bit for bit, without building terms: each Gaussian's product
+    with exponential j is completed once for all k >= j, and the weights take
+    the IEEE operations, pruning cut and correctly rounded sum of the terms."""
+    exponents = [gexp for _, gexp in _click_expansion(eta_eff, n_diodes, n_diodes)]
+    if eta_eff == 0.0:
+        return [integral(mixture)] + [0.0] * n_diodes
+    # per term j, (c, exp factor, completed inverse width) of each Gaussian;
+    # a zero exponent leaves the Gaussian as it is (a factor 1.0 is exact)
+    products = [
+        [(g.c, math.exp(-g.a * gexp * abs(g.z) ** 2 / (g.a + gexp)) if gexp else 1.0, g.a + gexp)
+         for g in mixture.gaussians]
+        for gexp in exponents
+    ]
+    integrals = []
+    for k in range(n_diodes + 1):
+        pairs = zip(_click_expansion(eta_eff, n_diodes, k), products)
+        terms = [(coeff * c * e, anew) for (coeff, _), row in pairs for c, e, anew in row]
+        deltas = [
+            d.c * _click_factor_value(eta_eff, n_diodes, k, abs(d.z) ** 2) for d in mixture.deltas
+        ]
+        if not all(map(math.isfinite, [c for c, _ in terms] + deltas)):
+            raise ValueError("coefficient must be finite")
+        weights = [c * math.pi / anew for c, anew in terms] + deltas
+        scale = math.fsum(map(abs, weights))
+        cut = PRUNE_RELATIVE * scale
+        integrals.append(math.fsum([w for w in weights if abs(w) > cut] if scale else weights))
+    return integrals
 
 
 def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:

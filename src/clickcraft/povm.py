@@ -102,7 +102,14 @@ def click_povm_element(det: DetectorConfig, k: int, cutoff: int) -> DiagonalPOVM
 
 
 def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistribution:
-    """Click-counting distribution c_k = sum_m D[k, m] p_m of a photon distribution."""
+    """Click-counting distribution c_k = sum_m D[k, m] p_m of a photon distribution.
+
+    No table: column m of D is A^m e_0 for the recursion's bidiagonal step A
+    (diagonal 1 - eta + eta k/N, subdiagonal eta (N-k+1)/N), so Horner's rule
+    c <- A c + p_m e_0, m = M-1 down to 0, sums it.  A is non-negative with
+    unit column sums, so nothing cancels: each c_k has a relative error of at
+    most about (2M + N) 2**-53, and is exactly 0 above the last nonzero p_m.
+    """
     p = np.asarray(photon_dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("photon distribution must be a non-empty vector")
@@ -112,14 +119,21 @@ def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistr
         raise ValueError("photon distribution has negative entries")
     if p.sum() > 1.0 + 1e-10:
         raise ValueError(f"photon distribution sums to {p.sum()} > 1")
-    table = click_kernel_table(det, det.N, p.size - 1)
-    probs = table.values @ p
+    n, eta = det.N, det.eta
+    k = np.arange(n + 1, dtype=float)
+    diag, sub = (1.0 - eta) + eta * k / n, eta * (n - k[1:] + 1.0) / n
+    probs, carried = np.zeros(n + 1), np.empty(n)
+    for pm in p[::-1].tolist():
+        np.multiply(sub, probs[:-1], out=carried)
+        probs *= diag
+        probs[1:] += carried
+        probs[0] += pm
     probs.flags.writeable = False
     return ClickDistribution(probs=probs, det=det)
 
 
-def _comb_weight(n: int, k: int, a: float, b: float, q: int) -> float:
-    """C(n, k) * a**k * b**q for a >= 0, b > 0.
+def _comb_weight(n: int, k: int, a: float, b: float, q: int, log_b: float | None = None) -> float:
+    """C(n, k) * a**k * b**q for a >= 0, b > 0; b**q = exp(q log_b) given ``log_b``.
 
     The plain float product wherever C(n, k) and a**k fit in a float; beyond
     that range it is taken from logarithms, and a result beyond the float
@@ -127,12 +141,21 @@ def _comb_weight(n: int, k: int, a: float, b: float, q: int) -> float:
     """
     c = math.comb(n, k)
     try:
-        return c * a**k * b**q
+        return c * a**k * (b**q if log_b is None else math.exp(q * log_b))
     except OverflowError:
         if a == 0.0:  # k >= 1, since C(n, k) overflowed
             return 0.0
-        log_w = math.log(c) + k * math.log(a) + q * math.log(b)
+        log_w = math.log(c) + k * math.log(a) + q * (math.log(b) if log_b is None else log_b)
         return math.exp(log_w) if log_w < 709.0 else math.inf
+
+
+def _photoelectric_weight(m: int, k: int, eta: float) -> float:
+    """C(m, k) eta^k (1-eta)^(m-k) for 0 <= eta < 1.  Rounding 1 - eta to a
+    float (off by up to 2**-54) costs the weights near m = k/eta a relative
+    error of about k 2**-54 / eta; below eta = 2**-17, where that passes
+    k 2**-37, the last factor comes from log1p(-eta)."""
+    log_b = math.log1p(-eta) if 0.0 < eta < 2.0**-17 else None
+    return _comb_weight(m, k, eta, 1.0 - eta, m - k, log_b)
 
 
 def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElement:
@@ -148,11 +171,10 @@ def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElemen
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     weights = np.zeros(cutoff)
-    for m in range(k, cutoff):
-        if eta == 1.0:
-            weights[m] = 1.0 if m == k else 0.0
-        else:
-            weights[m] = _comb_weight(m, k, eta, 1.0 - eta, m - k)
+    if eta == 1.0:
+        weights[k : k + 1] = 1.0
+    else:
+        weights[k:] = [_photoelectric_weight(m, k, eta) for m in range(k, cutoff)]
     weights.flags.writeable = False
     return DiagonalPOVMElement(weights=weights, kind="photoelectric", k=k, eta=eta)
 
@@ -195,7 +217,7 @@ def _photoelectric_tail_sup(eta: float, k: int, start: int) -> float:
     tol = 2.0**-50 * (4 + 2 * k * (2 * math.log(top) + 1))
     half_width = math.ceil(min(math.sqrt(2 * tol * (top / k) * (top - k)), 2.0**16)) + 2
     lo = max(start, top - 1 - half_width)
-    return max(_comb_weight(m, k, eta, 1.0 - eta, m - k) for m in range(lo, top + 1))
+    return max(_photoelectric_weight(m, k, eta) for m in range(lo, top + 1))
 
 
 def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> OperatorNormDistance:

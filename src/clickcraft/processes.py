@@ -41,6 +41,7 @@ from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
     GaussianTerm,
     PhaseSpaceMixture,
+    click_factor_integrals,
     convolve_noise,
     husimi_smooth,
     husimi_unsmooth,
@@ -309,16 +310,17 @@ def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:
     """Joint probabilities of every (k1, k2) click pair for a coherent input.
 
     Entry [k1, k2] is the trace of the (k1, k2)-conditioned output; the whole
-    (N1+1) x (N2+1) table sums to one.
+    (N1+1) x (N2+1) table sums to one.  A row sums the subtraction's term
+    weights of every k2 at once, with the bits of ``subtract`` cell by cell.
     """
-    n1, n2 = spec.add.det.N, spec.sub.det.N
-    table = np.zeros((n1 + 1, n2 + 1))
     p_in = PhaseSpaceMixture.coherent(complex(beta))
-    for k1 in range(n1 + 1):
-        added = add(p_in, replace(spec.add, k=k1))
-        for k2 in range(n2 + 1):
-            table[k1, k2] = subtract(added.state, replace(spec.sub, k=k2)).probability
-    return table
+    rows = []
+    for k1 in range(spec.add.det.N + 1):
+        lost = scale_loss(add(p_in, replace(spec.add, k=k1)).state, spec.sub.bs.t)
+        integrals = click_factor_integrals(lost, spec.sub.eta_eff, spec.sub.det.N)
+        # each cell through ProcessOutcome's range check, as from ``subtract``
+        rows.append([ProcessOutcome(None, p).probability for p in integrals])
+    return np.array(rows)
 
 
 def effective_sigma2(sq: SqueezerConfig, eta: float) -> float:

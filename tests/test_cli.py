@@ -354,6 +354,34 @@ def test_empty_click_list_runs(tmp_path, protocol):
     assert json.loads((out / "manifest.json").read_text())["resolved"]["eta_eff"] > 0
 
 
+REPEATED_CLICKS = {
+    "add": ({**ADD_CONFIG, "detector": {"N": 4, "eta": 0.8}, "clicks": [1, 3, 1, 0, 3]},
+            [1, 3, 0]),
+    "herald": ({**HERALD_CONFIG, "clicks": [2, 2, 1]}, [2, 1]),
+    "amplify": (_amplify_pair_config({"k1": [1, 1], "k2": [0, 2, 0]}), None),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(REPEATED_CLICKS))
+def test_repeated_click_numbers_run_once(tmp_path, capsys, protocol):
+    # each repeat used to be computed again, its file rewritten, printed and
+    # listed in the manifest a second time
+    payload, clicks = REPEATED_CLICKS[protocol]
+    out = tmp_path / "out"
+    argv = [protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv + ["--manifest"]) == 0
+    printed = capsys.readouterr().out.split()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(printed) == len(set(printed)) and len(outputs) == len(set(outputs))
+    assert sorted(outputs + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
+    if clicks is None:
+        assert sorted(n for n in outputs if n.startswith("terms_")) == [
+            "terms_k1_0.json", "terms_k1_2.json"
+        ]
+    else:
+        assert json.loads((out / "summary.json").read_text())["clicks"] == clicks
+
+
 # each config wrote the outputs of the click numbers before the bad one (or
 # the whole amplifier table) and then exited 2
 OUT_OF_RANGE_CLICKS = {

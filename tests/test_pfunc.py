@@ -10,6 +10,7 @@ from clickcraft import (
     GaussianTerm,
     GridSpec,
     PhaseSpaceMixture,
+    click_factor_integrals,
     convolve_noise,
     evaluate_grid,
     husimi_smooth,
@@ -426,3 +427,36 @@ def test_term_algebra_bit_identical_to_per_term_loops():
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def test_click_factor_integrals_bit_identical_to_built_terms():
+    rng = np.random.default_rng(20141118)
+    dropped_any = False
+    # eta_eff = 0 returns the mixture unpruned (k = 0) or nothing; k = N
+    # reaches j = N, where the exponent is 0
+    # a weight below the pruning cut that still moves the rounded sum
+    edge = PhaseSpaceMixture(
+        (GaussianTerm(1.0, 0j, math.pi), GaussianTerm(3e-16, 0.5 + 0j, math.pi))
+    )
+    for n, eta_eff in [(1, 0.7), (4, 1.3), (8, 0.0), (8, 0.37), (16, 0.8), (24, 2.5)]:
+        mixtures = [_spread_mixture(rng, *sizes) for sizes in [(0, 2), (3, 0), (5, 2)]]
+        for mixture in mixtures + [edge]:
+            got = click_factor_integrals(mixture, eta_eff, n)
+            assert len(got) == n + 1
+            for k, value in enumerate(got):
+                built = multiply_click_factor(mixture, eta_eff, n, k)
+                dropped_any |= built.dropped > mixture.dropped
+                expect = integral(built)
+                assert _bits_complex(complex(value)) == _bits_complex(complex(expect)), (n, k)
+    assert dropped_any  # pruning removed terms somewhere
+
+
+def test_click_factor_integrals_errors_match_built_terms():
+    huge = PhaseSpaceMixture((GaussianTerm(1e308, 0.5 + 0j, 1.0),))
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        multiply_click_factor(huge, 0.5, 8, 4)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        click_factor_integrals(huge, 0.5, 8)
+    for args in ((-0.1, 4), (0.5, 0)):
+        with pytest.raises(ValueError):
+            click_factor_integrals(random_mixture(), *args)

@@ -10,6 +10,7 @@ import pytest
 from clickcraft import (
     DetectorConfig,
     DSymbolParams,
+    click_kernel_table,
     click_povm_element,
     click_statistics,
     d_exact,
@@ -104,6 +105,46 @@ def test_click_statistics_rejects_negative():
 def test_click_statistics_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         click_statistics(np.array([0.5, bad]), DetectorConfig(2, 0.5))
+
+
+def _exact_click_statistics(p, det, ks):
+    """Exact sums of p_m D[k, m] over m >= k (D[k, m] = 0 below), from
+    ``d_exact`` at the float parameters the library uses."""
+    tau = 1.0 - det.eta
+    return [
+        float(sum(Fraction(p[m]) * d_exact(det.N, tau, det.eta, k, m) for m in range(k, p.size)))
+        for k in ks
+    ]
+
+
+def test_click_statistics_matches_exact_sums():
+    rng = np.random.default_rng(20141120)
+    # (N, M, eta, click numbers checked); None is every k
+    cases = [(1, 128, 0.93, None), (2, 64, 0.37, None), (5, 128, 0.61, None),
+             (16, 40, 0.93, None), (64, 128, 0.37, (0, 1, 2, 3)), (64, 70, 0.81, (61, 63, 64))]
+    for n, size, eta, ks in cases:
+        p = rng.dirichlet(np.ones(size)) * 0.999
+        det = DetectorConfig(n, eta)
+        ks = range(n + 1) if ks is None else ks
+        probs = click_statistics(p, det).probs
+        for k, exact in zip(ks, _exact_click_statistics(p, det, ks)):
+            assert abs(probs[k] - exact) <= 1e-13 * exact, (n, size, eta, k)
+
+
+def test_click_statistics_matches_kernel_table_product():
+    rng = np.random.default_rng(20141121)
+    for n in (1, 2, 3, 7, 16, 24, 33, 64):
+        for size in (1, 5, 40, 128):
+            eta = float(rng.uniform(0.05, 1.0))
+            p = rng.dirichlet(np.ones(size)) * rng.uniform(0.5, 1.0)
+            last = int(rng.integers(0, size))  # the last nonzero p_m
+            p[last + 1 :] = 0.0
+            det = DetectorConfig(n, eta)
+            probs = click_statistics(p, det).probs
+            table = click_kernel_table(det, n, size - 1).values @ p
+            assert probs.shape == (n + 1,)
+            assert np.all(np.abs(probs - table) <= 1e-14 * table), (n, size, eta)
+            assert np.all(probs[last + 1 :] == 0.0) and np.all(probs[: last + 1] > 0.0)
 
 
 def test_photoelectric_projector_at_unit_efficiency():
@@ -259,3 +300,31 @@ def test_photoelectric_tail_sup_at_tiny_efficiency(monkeypatch):
     # the mode's weight tends to k^k e^-k / k! as eta -> 0
     assert povm._photoelectric_tail_sup(1e-9, 3, 16) == pytest.approx(4.5 * math.exp(-3))
     assert res.tail_bound == 1.0  # the click tail bound saturates here
+
+
+def _log_tail_sup(eta, k, start):
+    """sup_{m >= start} C(m, k) eta^k (1-eta)^(m-k) near the mode floor(k/eta),
+    in logarithms: log C(m, k) = sum_i log(m - i) - lgamma(k + 1)."""
+    mode = max(start, math.floor(k / eta))
+    return max(
+        math.exp(
+            sum(math.log(m - i) for i in range(k)) - math.lgamma(k + 1)
+            + k * math.log(eta) + (m - k) * math.log1p(-eta)
+        )
+        for m in range(max(start, mode - 3), mode + 4)
+    )
+
+
+def test_photoelectric_tail_sup_where_one_minus_eta_rounds_to_one():
+    # 1.0 - 1e-17 == 1.0: the weights used to lose their (1-eta)^(m-k) ~ e^-k
+    # factor, and the distance read 4.5, beyond any difference of weights in [0, 1]
+    assert povm._photoelectric_tail_sup(1e-17, 3, 16) == pytest.approx(4.5 * math.exp(-3), rel=1e-9)
+    res = operator_norm_distance(DetectorConfig(4, 1e-17), 3, 16)
+    assert res.value <= 1.0 and res.tail_bound <= 1.0
+
+
+@pytest.mark.parametrize("eta", [1e-17, 1e-12, 1e-6])
+def test_photoelectric_tail_sup_matches_log_reference(eta):
+    for k in range(1, 6):
+        expect = _log_tail_sup(eta, k, 16)
+        assert povm._photoelectric_tail_sup(eta, k, 16) == pytest.approx(expect, rel=1e-12), k

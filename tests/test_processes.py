@@ -10,6 +10,7 @@ from clickcraft import (
     AmplifySpec,
     BeamSplitterConfig,
     DetectorConfig,
+    NumericalError,
     PhaseSpaceMixture,
     SqueezerConfig,
     SubtractionSpec,
@@ -312,6 +313,49 @@ def test_probability_table_phase_invariant():
     t1 = probability_table(amplify_spec(), 0.7)
     t2 = probability_table(amplify_spec(), 0.7 * np.exp(0.83j))
     assert np.abs(t1 - t2).max() < 1e-12
+
+
+def _per_cell_table(spec, beta):
+    """The amplifier table as the (k1, k2) pipelines give it, one cell at a time."""
+    n1, n2 = spec.add.det.N, spec.sub.det.N
+    table = np.zeros((n1 + 1, n2 + 1))
+    for k1 in range(n1 + 1):
+        added = add(PhaseSpaceMixture.coherent(beta), AdditionSpec(spec.add.sq, spec.add.det, k1))
+        for k2 in range(n2 + 1):
+            sub = SubtractionSpec(spec.sub.bs, spec.sub.det, k2)
+            table[k1, k2] = subtract(added.state, sub).probability
+    return table
+
+
+def test_probability_table_bit_identical_to_per_cell_pipeline():
+    rng = np.random.default_rng(20141119)
+    sizes = (1, 2, 3, 4, 8)
+    for i in range(16):
+        n1, n2 = int(rng.choice(sizes)), int(rng.choice(sizes))
+        # beta = 0 and eta2 = 0 (no conditioning power in the subtraction) included
+        beta = 0j if i % 4 == 0 else complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        eta2 = 0.0 if i % 5 == 0 else float(rng.uniform(0.3, 0.9))
+        spec = AmplifySpec(
+            AdditionSpec(SqueezerConfig.from_mu(float(rng.uniform(1.1, 1.8))),
+                         DetectorConfig(n1, float(rng.uniform(0.3, 0.9))), 0),
+            SubtractionSpec(BeamSplitterConfig(float(rng.uniform(0.55, 0.9))),
+                            DetectorConfig(n2, eta2), 0),
+        )
+        table = probability_table(spec, beta)
+        assert np.array_equal(table, _per_cell_table(spec, beta)), (n1, n2, beta, eta2)
+    for n in sizes:  # the table1 optics at every size
+        spec = AmplifySpec(AdditionSpec(SQ15, DetectorConfig(n, 0.5), 0),
+                           SubtractionSpec(BS23, DetectorConfig(n, 0.5), 0))
+        beta = 2 / math.sqrt(2)
+        assert np.array_equal(probability_table(spec, beta), _per_cell_table(spec, beta)), n
+
+
+def test_probability_table_cancellation_is_numerical_error():
+    # at N1 = N2 = 16 the alternating expansion drives a cell below -1e-9
+    det16 = DetectorConfig(16, 0.5)
+    spec = AmplifySpec(AdditionSpec(SQ15, det16, 0), SubtractionSpec(BS23, det16, 0))
+    with pytest.raises(NumericalError, match="outside"):
+        probability_table(spec, 1 / math.sqrt(2))
 
 
 def test_amplify_negativity_grows_with_addition_clicks():
