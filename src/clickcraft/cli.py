@@ -266,8 +266,10 @@ def _write_outcome(
     state, files = outcome.state, [f"terms_{key}.json"]
     terms = {
         "probability": outcome.probability,
-        "gaussians": [{"c": g.c, "z": [g.z.real, g.z.imag], "a": g.a} for g in state.gaussians],
-        "deltas": [{"c": d.c, "z": [d.z.real, d.z.imag]} for d in state.deltas],
+        "gaussians": [
+            {"c": c, "z": [z.real, z.imag], "a": a} for c, z, a in zip(state.c, state.z, state.a)
+        ],
+        "deltas": [{"c": c, "z": [z.real, z.imag]} for c, z in zip(state.dc, state.dz)],
         "pruned_mass": state.dropped,
     }
     _write_json(outdir / files[0], terms)

@@ -6,18 +6,15 @@ terms ``c * delta^2(alpha - z)`` (exact coherent components).  This family is
 closed under every map used by the engineering protocols:
 
 * ``scale_loss``            -- beam-splitter attenuation, P(alpha) -> P(alpha/t)/t^2
-* ``convolve_noise``        -- parametric-amplifier noise, convolution with a
-                               thermal Gaussian of variance mu^2 - 1 plus
-                               amplitude gain mu
+* ``convolve_noise``        -- parametric-amplifier noise: amplitude gain mu and
+                               a thermal Gaussian of variance mu^2 - 1
 * ``multiply_click_factor`` -- pointwise multiplication by the k-click factor
                                C(N,k) (e^{-g|a|^2/N})^{N-k} (1-e^{-g|a|^2/N})^k,
                                expanded binomially so products stay Gaussian
 * ``husimi_smooth`` / ``husimi_unsmooth``
-                            -- convert between the P function and pi times the
-                               Husimi Q function (convolution with the unit
-                               vacuum Gaussian and its inverse); the click
-                               factor of a conditioned *pair-generation* stage
-                               acts pointwise on the Q side, not on P
+                            -- between P and pi times the Husimi Q function (the
+                               unit vacuum convolution and its inverse); the click
+                               factor of a *pair-generation* stage acts on Q, not P
 
 plus exact ``integral`` (trace), normally ordered ``moment`` and grid
 evaluation for rendering.
@@ -32,42 +29,36 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
+from .dsymbol import NumericalError
+
 __all__ = [
-    "DeltaTerm",
-    "GaussianTerm",
-    "GridSpec",
-    "PhaseSpaceMixture",
-    "click_factor_integrals",
-    "convolve_noise",
-    "evaluate_grid",
-    "husimi_smooth",
-    "husimi_unsmooth",
-    "integral",
-    "moment",
-    "multiply_click_factor",
-    "scale_loss",
+    "DeltaTerm", "GaussianTerm", "GridSpec", "PhaseSpaceMixture", "click_factor_integrals",
+    "convolve_noise", "evaluate_grid", "husimi_smooth", "husimi_unsmooth", "integral", "moment",
+    "multiply_click_factor", "scale_loss",
 ]
 
 PRUNE_RELATIVE = 1e-15
 MAX_MOMENT_ORDER = 6
+# (C(p, i) C(q, i) i!, -i, p - i, q - i) of each contraction order i of moment (p, q)
+_CONTRACTIONS = {
+    (p, q): [(math.comb(p, i) * math.comb(q, i) * math.factorial(i), -i, p - i, q - i)
+             for i in range(min(p, q) + 1)]
+    for p in range(MAX_MOMENT_ORDER + 1)
+    for q in range(MAX_MOMENT_ORDER + 1 - p)
+}
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One isotropic Gaussian: value at alpha is ``c * exp(-a*|alpha - z|^2)``."""
+class GaussianTerm(NamedTuple):
+    """View of one isotropic Gaussian: value at alpha is ``c * exp(-a*|alpha - z|^2)``."""
 
     c: float
     z: complex
     a: float  # inverse width, > 0
-
-    def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError(f"inverse width must be positive, got a={self.a}")
-        if not math.isfinite(self.c):
-            raise ValueError("coefficient must be finite")
 
     @property
     def weight(self) -> float:
@@ -75,46 +66,55 @@ class GaussianTerm:
         return self.c * math.pi / self.a
 
 
-@dataclass(frozen=True)
-class DeltaTerm:
-    """One exact coherent component: ``c * delta^2(alpha - z)``."""
+class DeltaTerm(NamedTuple):
+    """View of one exact coherent component: ``c * delta^2(alpha - z)``."""
 
     c: float
     z: complex
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c):
-            raise ValueError("coefficient must be finite")
 
-
-def _finite_amplitude(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
-    return alpha
-
-
-@dataclass(frozen=True)
-class PhaseSpaceMixture:
+class PhaseSpaceMixture(NamedTuple):
     """Finite mixture of Gaussian and delta terms; immutable.
 
+    Gaussian i is ``(c[i], z[i], a[i])`` and delta i is ``(dc[i], dz[i])``;
     ``dropped`` accumulates the absolute integral mass removed by pruning of
-    negligible terms across the maps that multiplied term counts.
+    negligible terms across the maps that multiplied term counts.  The plain
+    constructor checks nothing; ``from_fields``, ``from_terms`` and the maps do.
     """
 
-    gaussians: tuple[GaussianTerm, ...] = ()
-    deltas: tuple[DeltaTerm, ...] = ()
+    c: tuple[float, ...] = ()
+    z: tuple[complex, ...] = ()
+    a: tuple[float, ...] = ()
+    dc: tuple[float, ...] = ()
+    dz: tuple[complex, ...] = ()
     dropped: float = 0.0
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def from_fields(cls, c, z, a, dc=(), dz=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
+        """Mixture of these fields (equal lengths per term kind); ValueError
+        unless every inverse width is > 0 and every coefficient finite."""
+        mixture = cls(tuple(c), tuple(z), tuple(a), tuple(dc), tuple(dz), dropped)
+        for width in mixture.a:
+            if not width > 0:
+                raise ValueError(f"inverse width must be positive, got a={width}")
+        if not (all(map(math.isfinite, mixture.c)) and all(map(math.isfinite, mixture.dc))):
+            raise ValueError("coefficient must be finite")
+        return mixture
+
+    @classmethod
+    def from_terms(cls, gaussians=(), deltas=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
+        """Checked mixture of terms with the fields of ``GaussianTerm`` and ``DeltaTerm``."""
+        g, d = tuple(gaussians), tuple(deltas)
+        fields = [[getattr(t, f) for t in terms] for terms, f in zip((g, g, g, d, d), "czacz")]
+        return cls.from_fields(*fields, dropped)
 
     @classmethod
     def vacuum(cls) -> "PhaseSpaceMixture":
-        return cls(deltas=(DeltaTerm(1.0, 0j),))
+        return cls(dc=(1.0,), dz=(0j,))
 
     @classmethod
     def coherent(cls, alpha: complex) -> "PhaseSpaceMixture":
-        return cls(deltas=(DeltaTerm(1.0, _finite_amplitude(alpha)),))
+        return cls.displaced_thermal(alpha, 0.0)
 
     @classmethod
     def thermal(cls, nbar: float) -> "PhaseSpaceMixture":
@@ -122,53 +122,58 @@ class PhaseSpaceMixture:
 
     @classmethod
     def displaced_thermal(cls, alpha0: complex, nbar: float) -> "PhaseSpaceMixture":
-        alpha0 = _finite_amplitude(alpha0)
+        alpha0 = complex(alpha0)
+        if not (math.isfinite(alpha0.real) and math.isfinite(alpha0.imag)):
+            raise ValueError(f"coherent amplitude must be finite, got {alpha0}")
         if not 0 <= nbar < math.inf:
             raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
         if nbar == 0:
-            return cls.coherent(alpha0)
-        return cls(gaussians=(GaussianTerm(1.0 / (math.pi * nbar), alpha0, 1.0 / nbar),))
+            return cls(dc=(1.0,), dz=(alpha0,))
+        return cls.from_fields((1.0 / (math.pi * nbar),), (alpha0,), (1.0 / nbar,))
 
-    # -- basic queries ------------------------------------------------------
+    @property
+    def gaussians(self) -> tuple[GaussianTerm, ...]:
+        return tuple(map(GaussianTerm, self.c, self.z, self.a))
+
+    @property
+    def deltas(self) -> tuple[DeltaTerm, ...]:
+        return tuple(map(DeltaTerm, self.dc, self.dz))
 
     def evaluate(self, alpha: complex | np.ndarray) -> float | np.ndarray:
         """Regular (Gaussian) part of P at alpha; delta terms are distributions
         and are not evaluated pointwise."""
         alpha = np.asarray(alpha, dtype=complex)
         out = np.zeros(alpha.shape)
-        for g in self.gaussians:
-            out += g.c * np.exp(-g.a * np.abs(alpha - g.z) ** 2)
+        for c, z, a in zip(self.c, self.z, self.a):
+            out += c * np.exp(-a * np.abs(alpha - z) ** 2)
         return out if out.shape else float(out)
 
     @property
     def n_terms(self) -> int:
-        return len(self.gaussians) + len(self.deltas)
-
-    def absolute_integral(self) -> float:
-        return math.fsum(
-            [abs(g.weight) for g in self.gaussians] + [abs(d.c) for d in self.deltas]
-        )
+        return len(self.c) + len(self.dc)
 
     def pruned(self, rel_tol: float = PRUNE_RELATIVE) -> "PhaseSpaceMixture":
         """Drop terms whose |integral| contribution is below rel_tol of the
-        mixture's absolute integral; the dropped mass is reported on the result."""
-        sizes = [abs(g.weight) for g in self.gaussians] + [abs(d.c) for d in self.deltas]
+        mixture's absolute integral; the dropped mass is reported on the result.
+        NumericalError if that absolute integral is not finite."""
+        sizes = [abs(c * math.pi / a) for c, a in zip(self.c, self.a)] + list(map(abs, self.dc))
+        # not finite where a size is, nor where the sizes overflow (there fsum would raise)
+        if not math.isfinite(sum(sizes)):
+            raise NumericalError("the absolute integral of the mixture is not finite")
         scale = math.fsum(sizes)
-        if scale == 0.0:
-            return self
         cut = rel_tol * scale
-        n_g = len(self.gaussians)
-        keep_g = tuple(g for g, w in zip(self.gaussians, sizes) if w > cut)
-        keep_d = tuple(d for d, w in zip(self.deltas, sizes[n_g:]) if w > cut)
-        lost = math.fsum([w for w in sizes if w <= cut])
-        return PhaseSpaceMixture(keep_g, keep_d, self.dropped + lost)
+        if scale == 0.0 or min(sizes) > cut:
+            return self
+        keep = [w > cut for w in sizes]
+        g, d = keep[: len(self.c)], keep[len(self.c) :]
+        # c, z, a keep the surviving Gaussians, dc, dz the surviving deltas
+        fields = [tuple(compress(field, k)) for field, k in zip(self[:5], (g, g, g, d, d))]
+        return PhaseSpaceMixture(*fields, self.dropped + math.fsum([w for w in sizes if w <= cut]))
 
 
 def integral(mixture: PhaseSpaceMixture) -> float:
     """Exact integral of P over the phase plane (the trace of the operator)."""
-    return math.fsum(
-        [g.weight for g in mixture.gaussians] + [d.c for d in mixture.deltas]
-    )
+    return math.fsum([c * math.pi / a for c, a in zip(mixture.c, mixture.a)] + list(mixture.dc))
 
 
 def scale_loss(mixture: PhaseSpaceMixture, t: float) -> PhaseSpaceMixture:
@@ -180,26 +185,30 @@ def scale_loss(mixture: PhaseSpaceMixture, t: float) -> PhaseSpaceMixture:
     if not 0 < t <= 1:
         raise ValueError(f"transmission must satisfy 0 < t <= 1, got {t}")
     t2 = t * t
-    gaussians = tuple(
-        GaussianTerm(g.c / t2, t * g.z, g.a / t2) for g in mixture.gaussians
-    )
-    deltas = tuple(DeltaTerm(d.c, t * d.z) for d in mixture.deltas)
-    return PhaseSpaceMixture(gaussians, deltas, mixture.dropped)
+    cs, zs, widths = [], [], []
+    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
+        cs.append(c / t2)
+        zs.append(t * z)
+        widths.append(a / t2)
+    dz = [t * z for z in mixture.dz]
+    return PhaseSpaceMixture.from_fields(cs, zs, widths, mixture.dc, dz, mixture.dropped)
 
 
 def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> PhaseSpaceMixture:
     """Convolve with a normalized Gaussian kernel of the given variance while
     amplifying centers by ``gain``; integral-preserving."""
-    gaussians = []
-    for g in mixture.gaussians:
+    cs, zs, widths = [], [], []
+    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
         # width gain^2/a from amplification, plus the kernel variance
-        denom = gain * gain + g.a * variance
-        gaussians.append(GaussianTerm(g.c / denom, gain * g.z, g.a / denom))
-    for d in mixture.deltas:
-        gaussians.append(
-            GaussianTerm(d.c / (math.pi * variance), gain * d.z, 1.0 / variance)
-        )
-    return PhaseSpaceMixture(tuple(gaussians), (), mixture.dropped)
+        denom = gain * gain + a * variance
+        cs.append(c / denom)
+        zs.append(gain * z)
+        widths.append(a / denom)
+    for c, z in zip(mixture.dc, mixture.dz):
+        cs.append(c / (math.pi * variance))
+        zs.append(gain * z)
+        widths.append(1.0 / variance)
+    return PhaseSpaceMixture.from_fields(cs, zs, widths, dropped=mixture.dropped)
 
 
 def convolve_noise(mixture: PhaseSpaceMixture, mu: float) -> PhaseSpaceMixture:
@@ -233,19 +242,20 @@ def husimi_unsmooth(mixture: PhaseSpaceMixture) -> PhaseSpaceMixture:
     narrow contribution, reached only for unit detector efficiency on a
     coherent input).  Delta terms cannot appear on the Q side.
     """
-    if mixture.deltas:
+    if mixture.dc:
         raise ValueError("the smoothed representation cannot carry delta terms")
-    gaussians = []
-    for g in mixture.gaussians:
-        rem = 1.0 - g.a
+    cs, widths = [], []
+    for c, a in zip(mixture.c, mixture.a):
+        rem = 1.0 - a
         if rem <= 0:
             raise ValueError(
                 "delta-shaped contribution: a conditioned term has collapsed to "
                 "zero width (unit-efficiency conditioning of a coherent input); "
                 "the P function is no longer a regular Gaussian mixture"
             )
-        gaussians.append(GaussianTerm(g.c / rem, g.z, g.a / rem))
-    return PhaseSpaceMixture(tuple(gaussians), (), mixture.dropped)
+        cs.append(c / rem)
+        widths.append(a / rem)
+    return PhaseSpaceMixture.from_fields(cs, mixture.z, widths, dropped=mixture.dropped)
 
 
 def _click_factor_value(eta_eff: float, n_diodes: int, k: int, abs2: float) -> float:
@@ -264,19 +274,17 @@ def _click_expansion(eta_eff: float, n_diodes: int, k: int) -> list[tuple[int, f
         raise ValueError(f"need at least one diode, got N={n_diodes}")
     if not 0 <= k <= n_diodes:
         raise ValueError(f"click number k={k} outside 0..{n_diodes}")
-    cnk = math.comb(n_diodes, k)
-    return [
-        (cnk * math.comb(k, j) * (-1 if (k - j) & 1 else 1), eta_eff * (1.0 - j / n_diodes))
-        for j in range(k + 1)
-    ]
+    # C(N,k) C(k,j) (-1)^(k-j), stepped exactly in integers from j to j + 1
+    coeff = math.comb(n_diodes, k) * (-1 if k & 1 else 1)
+    expansion = []
+    for j in range(k + 1):
+        expansion.append((coeff, eta_eff * (1.0 - j / n_diodes)))
+        coeff = -coeff * (k - j) // (j + 1)
+    return expansion
 
 
 def multiply_click_factor(
-    mixture: PhaseSpaceMixture,
-    eta_eff: float,
-    n_diodes: int,
-    k: int,
-    prune: bool = True,
+    mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int, k: int, prune: bool = True
 ) -> PhaseSpaceMixture:
     """Multiply pointwise by the k-click conditioning factor.
 
@@ -289,24 +297,19 @@ def multiply_click_factor(
     expansion = _click_expansion(eta_eff, n_diodes, k)
     if eta_eff == 0.0:
         # no conditioning power: factor is 1 for k = 0 and 0 for k >= 1
-        return mixture if k == 0 else PhaseSpaceMixture((), (), mixture.dropped)
-
-    gaussians = []
-    for g in mixture.gaussians:
-        a, z, c = g.a, g.z, g.c
+        return mixture if k == 0 else PhaseSpaceMixture(dropped=mixture.dropped)
+    cs, zs, widths = [], [], []
+    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
         abs2 = abs(z) ** 2
         for coeff, gexp in expansion:
-            if gexp == 0.0:
-                gaussians.append(GaussianTerm(coeff * c, z, a))
-                continue
+            # a zero exponent keeps the Gaussian: x * 1.0 and a + 0.0 are exact
             anew = a + gexp
-            cnew = coeff * c * math.exp(-a * gexp * abs2 / anew)
-            gaussians.append(GaussianTerm(cnew, (a / anew) * z, anew))
-    deltas = tuple(
-        DeltaTerm(d.c * _click_factor_value(eta_eff, n_diodes, k, abs(d.z) ** 2), d.z)
-        for d in mixture.deltas
-    )
-    out = PhaseSpaceMixture(tuple(gaussians), deltas, mixture.dropped)
+            cs.append(coeff * c * (math.exp(-a * gexp * abs2 / anew) if gexp else 1.0))
+            zs.append((a / anew) * z if gexp else z)
+            widths.append(anew)
+    dc = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
+          for c, z in zip(mixture.dc, mixture.dz)]
+    out = PhaseSpaceMixture.from_fields(cs, zs, widths, dc, mixture.dz, mixture.dropped)
     return out.pruned() if prune else out
 
 
@@ -318,27 +321,30 @@ def click_factor_integrals(mixture: PhaseSpaceMixture, eta_eff: float, n_diodes:
     exponents = [gexp for _, gexp in _click_expansion(eta_eff, n_diodes, n_diodes)]
     if eta_eff == 0.0:
         return [integral(mixture)] + [0.0] * n_diodes
-    # per term j, (c, exp factor, completed inverse width) of each Gaussian;
-    # a zero exponent leaves the Gaussian as it is (a factor 1.0 is exact)
+    # per term j, (c, exp factor) of each Gaussian (a zero exponent leaves the
+    # Gaussian as it is), and the completed widths in the same term order
     products = [
-        [(g.c, math.exp(-g.a * gexp * abs(g.z) ** 2 / (g.a + gexp)) if gexp else 1.0, g.a + gexp)
-         for g in mixture.gaussians]
+        [(c, math.exp(-a * gexp * abs(z) ** 2 / (a + gexp)) if gexp else 1.0)
+         for c, z, a in zip(mixture.c, mixture.z, mixture.a)]
         for gexp in exponents
     ]
-    integrals = []
+    widths = [a + gexp for gexp in exponents for a in mixture.a]
+    rows = []
     for k in range(n_diodes + 1):
         pairs = zip(_click_expansion(eta_eff, n_diodes, k), products)
-        terms = [(coeff * c * e, anew) for (coeff, _), row in pairs for c, e, anew in row]
-        deltas = [
-            d.c * _click_factor_value(eta_eff, n_diodes, k, abs(d.z) ** 2) for d in mixture.deltas
-        ]
-        if not all(map(math.isfinite, [c for c, _ in terms] + deltas)):
+        cs = [coeff * c * e for (coeff, _), row in pairs for c, e in row]
+        deltas = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
+                  for c, z in zip(mixture.dc, mixture.dz)]
+        if not (all(map(math.isfinite, cs)) and all(map(math.isfinite, deltas))):
             raise ValueError("coefficient must be finite")
-        weights = [c * math.pi / anew for c, anew in terms] + deltas
-        scale = math.fsum(map(abs, weights))
-        cut = PRUNE_RELATIVE * scale
-        integrals.append(math.fsum([w for w in weights if abs(w) > cut] if scale else weights))
-    return integrals
+        rows.append([c * math.pi / anew for c, anew in zip(cs, widths)] + deltas)
+    if not all(math.isfinite(sum(map(abs, weights))) for weights in rows):
+        raise NumericalError("the absolute integral of a conditioned mixture is not finite")
+    scales = [math.fsum(map(abs, weights)) for weights in rows]
+    return [
+        math.fsum([w for w in weights if abs(w) > PRUNE_RELATIVE * scale] if scale else weights)
+        for weights, scale in zip(rows, scales)
+    ]
 
 
 def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:
@@ -346,25 +352,18 @@ def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:
 
     Closed form; supported up to total order p + q <= 6.
     """
-    if p < 0 or q < 0:
-        raise ValueError("moment orders must be non-negative")
-    if p + q > MAX_MOMENT_ORDER:
-        raise ValueError(f"moments of order p+q > {MAX_MOMENT_ORDER} are unsupported")
+    contractions = _CONTRACTIONS.get((p, q))
+    if contractions is None:
+        raise ValueError(f"moment orders must be >= 0 with p+q <= {MAX_MOMENT_ORDER}, got ({p}, {q})")
     total = 0j
-    for d in mixture.deltas:
-        total += d.c * d.z.conjugate() ** p * d.z**q
-    # C(p, i) C(q, i) i! of each contraction order i
-    counts = [
-        (i, math.comb(p, i) * math.comb(q, i) * math.factorial(i))
-        for i in range(min(p, q) + 1)
-    ]
-    for g in mixture.gaussians:
-        a, z = g.a, g.z
+    for c, z in zip(mixture.dc, mixture.dz):
+        total += c * z.conjugate() ** p * z**q
+    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
         zc = z.conjugate()
         acc = 0j
-        for i, count in counts:
-            acc += count * a**-i * zc ** (p - i) * z ** (q - i)
-        total += g.weight * acc
+        for count, minus_i, p_i, q_i in contractions:
+            acc += count * a**minus_i * zc**p_i * z**q_i
+        total += c * math.pi / a * acc
     return total
 
 

@@ -39,7 +39,6 @@ from .fock import (
 )
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
-    GaussianTerm,
     PhaseSpaceMixture,
     click_factor_integrals,
     convolve_noise,
@@ -228,7 +227,7 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
     n2, eta2, k2 = spec.sub.det.N, spec.sub.det.eta, spec.sub.k
     b2 = abs(beta) ** 2
 
-    gaussians = []
+    cs, zs, widths = [], [], []
     for j1 in range(k1 + 1):
         den = nu**2 * (1.0 - eta1 * (1.0 - j1 / n1))
         lam1 = mu / (t * den)
@@ -245,9 +244,10 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
             lam2 = (1.0 + eta1 * nu**2 * (1.0 - j1 / n1)) / (t**2 * den) + (
                 eta2 * r**2 * (1.0 - j2 / n2) / t**2
             )
-            c = (f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2)
-            gaussians.append(GaussianTerm(c, (lam1 / lam2) * beta, lam2))
-    return PhaseSpaceMixture(tuple(gaussians))
+            cs.append((f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2))
+            zs.append((lam1 / lam2) * beta)
+            widths.append(lam2)
+    return PhaseSpaceMixture.from_fields(cs, zs, widths)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 from clickcraft import (
+    AdditionSpec,
+    AmplifySpec,
+    BeamSplitterConfig,
     DeltaTerm,
+    DetectorConfig,
     GaussianTerm,
     GridSpec,
+    NumericalError,
     PhaseSpaceMixture,
+    ProcessOutcome,
+    SqueezerConfig,
+    SubtractionSpec,
+    add,
+    amplify_closed_form,
     click_factor_integrals,
     convolve_noise,
     evaluate_grid,
@@ -18,7 +28,9 @@ from clickcraft import (
     integral,
     moment,
     multiply_click_factor,
+    probability_table,
     scale_loss,
+    subtract,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -37,7 +49,7 @@ def random_mixture(n_gauss=3, n_delta=0) -> PhaseSpaceMixture:
         DeltaTerm(c=float(RNG.uniform(0.1, 1)), z=complex(RNG.uniform(-1, 1), RNG.uniform(-1, 1)))
         for _ in range(n_delta)
     )
-    return PhaseSpaceMixture(gaussians, deltas)
+    return PhaseSpaceMixture.from_terms(gaussians, deltas)
 
 
 def random_points(n=200) -> np.ndarray:
@@ -178,7 +190,7 @@ def test_husimi_smooth_is_unit_convolution():
 
 
 def test_husimi_unsmooth_rejects_wide_terms():
-    too_wide = PhaseSpaceMixture((GaussianTerm(1.0, 0j, 1.0),))
+    too_wide = PhaseSpaceMixture.from_terms((GaussianTerm(1.0, 0j, 1.0),))
     with pytest.raises(ValueError, match="delta-shaped"):
         husimi_unsmooth(too_wide)
     with pytest.raises(ValueError):
@@ -189,7 +201,7 @@ def test_husimi_unsmooth_rejects_wide_terms():
 
 
 def test_integral_gaussian_closed_form():
-    mix = PhaseSpaceMixture((GaussianTerm(1.0, 0.7 + 0.1j, 2.0),))
+    mix = PhaseSpaceMixture.from_terms((GaussianTerm(1.0, 0.7 + 0.1j, 2.0),))
     assert integral(mix) == pytest.approx(math.pi / 2)
 
 
@@ -228,7 +240,7 @@ def test_moment_order_cap():
 
 
 def test_grid_single_gaussian_center_value():
-    mix = PhaseSpaceMixture((GaussianTerm(1.0, 0j, 1.0),))
+    mix = PhaseSpaceMixture.from_terms((GaussianTerm(1.0, 0j, 1.0),))
     grid = GridSpec(-0.5, 0.5, -0.5, 0.5, 1, 1)
     vals = evaluate_grid(mix, grid)
     assert vals.shape == (1, 1)
@@ -236,7 +248,7 @@ def test_grid_single_gaussian_center_value():
 
 
 def test_grid_symmetry():
-    mix = PhaseSpaceMixture(
+    mix = PhaseSpaceMixture.from_terms(
         (GaussianTerm(1.0, 0.5, 1.0), GaussianTerm(1.0, -0.5, 1.0), GaussianTerm(-0.4, 0j, 2.0))
     )
     grid = GridSpec(-2, 2, -2, 2, 40, 40)
@@ -246,8 +258,6 @@ def test_grid_symmetry():
 
 def test_grid_matches_naive_pointwise_summation():
     # extrema of a conditioned output located independently, cell by cell
-    from clickcraft import DetectorConfig, SubtractionSpec, BeamSplitterConfig, subtract
-
     out = subtract(
         PhaseSpaceMixture.thermal(0.5),
         SubtractionSpec(BeamSplitterConfig(0.7), DetectorConfig(16, 0.8), 2),
@@ -278,7 +288,7 @@ def test_grid_rejects_empty():
 
 
 def test_pruning_reports_dropped_mass():
-    mix = PhaseSpaceMixture(
+    mix = PhaseSpaceMixture.from_terms(
         (GaussianTerm(1.0, 0j, 1.0), GaussianTerm(1e-18, 0.5, 1.0))
     )
     out = mix.pruned()
@@ -309,7 +319,8 @@ def test_maps_keep_mixtures_finite_and_real():
 
 def _reference_pruned(mixture, rel_tol=1e-15):
     """Pruning with |weight| recomputed per test, term by term."""
-    scale = mixture.absolute_integral()
+    sizes = [abs(g.weight) for g in mixture.gaussians] + [abs(d.c) for d in mixture.deltas]
+    scale = math.fsum(sizes)
     if scale == 0.0:
         return mixture
     cut = rel_tol * scale
@@ -319,13 +330,13 @@ def _reference_pruned(mixture, rel_tol=1e-15):
         [abs(g.weight) for g in mixture.gaussians if abs(g.weight) <= cut]
         + [abs(d.c) for d in mixture.deltas if abs(d.c) <= cut]
     )
-    return PhaseSpaceMixture(keep_g, keep_d, mixture.dropped + lost)
+    return PhaseSpaceMixture.from_terms(keep_g, keep_d, mixture.dropped + lost)
 
 
 def _reference_click_factor(mixture, eta_eff, n, k, prune=True):
     """The click factor expanded term by term, coefficients rebuilt per Gaussian."""
     if eta_eff == 0.0:
-        return mixture if k == 0 else PhaseSpaceMixture((), (), mixture.dropped)
+        return mixture if k == 0 else PhaseSpaceMixture.from_terms((), (), mixture.dropped)
     cnk = math.comb(n, k)
     gaussians = []
     for g in mixture.gaussians:
@@ -342,7 +353,7 @@ def _reference_click_factor(mixture, eta_eff, n, k, prune=True):
     for d in mixture.deltas:
         e = math.exp(-eta_eff * abs(d.z) ** 2 / n)
         deltas.append(DeltaTerm(d.c * (cnk * e ** (n - k) * (1.0 - e) ** k), d.z))
-    out = PhaseSpaceMixture(tuple(gaussians), tuple(deltas), mixture.dropped)
+    out = PhaseSpaceMixture.from_terms(tuple(gaussians), tuple(deltas), mixture.dropped)
     return _reference_pruned(out) if prune else out
 
 
@@ -384,7 +395,7 @@ def _spread_mixture(rng, n_gauss, n_delta):
         DeltaTerm(c=float(10.0 ** rng.uniform(-20, 0)), z=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
         for _ in range(n_delta)
     )
-    return PhaseSpaceMixture(gaussians, deltas, float(rng.uniform(0, 1e-12)))
+    return PhaseSpaceMixture.from_terms(gaussians, deltas, float(rng.uniform(0, 1e-12)))
 
 
 def _bits_complex(value):
@@ -435,7 +446,7 @@ def test_click_factor_integrals_bit_identical_to_built_terms():
     # eta_eff = 0 returns the mixture unpruned (k = 0) or nothing; k = N
     # reaches j = N, where the exponent is 0
     # a weight below the pruning cut that still moves the rounded sum
-    edge = PhaseSpaceMixture(
+    edge = PhaseSpaceMixture.from_terms(
         (GaussianTerm(1.0, 0j, math.pi), GaussianTerm(3e-16, 0.5 + 0j, math.pi))
     )
     for n, eta_eff in [(1, 0.7), (4, 1.3), (8, 0.0), (8, 0.37), (16, 0.8), (24, 2.5)]:
@@ -452,7 +463,7 @@ def test_click_factor_integrals_bit_identical_to_built_terms():
 
 
 def test_click_factor_integrals_errors_match_built_terms():
-    huge = PhaseSpaceMixture((GaussianTerm(1e308, 0.5 + 0j, 1.0),))
+    huge = PhaseSpaceMixture.from_terms((GaussianTerm(1e308, 0.5 + 0j, 1.0),))
     with pytest.raises(ValueError, match="coefficient must be finite"):
         multiply_click_factor(huge, 0.5, 8, 4)
     with pytest.raises(ValueError, match="coefficient must be finite"):
@@ -460,3 +471,205 @@ def test_click_factor_integrals_errors_match_built_terms():
     for args in ((-0.1, 4), (0.5, 0)):
         with pytest.raises(ValueError):
             click_factor_integrals(random_mixture(), *args)
+
+
+# --- flat-field maps against per-term references --------------------------------
+
+
+def _reference_scale_loss(mixture, t):
+    t2 = t * t
+    return PhaseSpaceMixture.from_terms(
+        [GaussianTerm(g.c / t2, t * g.z, g.a / t2) for g in mixture.gaussians],
+        [DeltaTerm(d.c, t * d.z) for d in mixture.deltas],
+        mixture.dropped,
+    )
+
+
+def _reference_convolve(mixture, gain, variance):
+    gaussians = []
+    for g in mixture.gaussians:
+        denom = gain * gain + g.a * variance
+        gaussians.append(GaussianTerm(g.c / denom, gain * g.z, g.a / denom))
+    for d in mixture.deltas:
+        gaussians.append(GaussianTerm(d.c / (math.pi * variance), gain * d.z, 1.0 / variance))
+    return PhaseSpaceMixture.from_terms(gaussians, (), mixture.dropped)
+
+
+def _reference_husimi_unsmooth(mixture):
+    assert not mixture.deltas
+    gaussians = [GaussianTerm(g.c / (1.0 - g.a), g.z, g.a / (1.0 - g.a)) for g in mixture.gaussians]
+    return PhaseSpaceMixture.from_terms(gaussians, (), mixture.dropped)
+
+
+def _reference_integral(mixture):
+    return math.fsum([g.weight for g in mixture.gaussians] + [d.c for d in mixture.deltas])
+
+
+def _reference_subtract(p_in, spec):
+    lost = _reference_scale_loss(p_in, spec.bs.t)
+    out = _reference_click_factor(lost, spec.eta_eff, spec.det.N, spec.k)
+    return ProcessOutcome(out, _reference_integral(out))
+
+
+def _reference_add(p_in, spec):
+    mu = spec.sq.mu
+    smoothed = _reference_convolve(_reference_convolve(p_in, mu, mu * mu - 1.0), 1.0, 1.0)
+    conditioned = _reference_click_factor(smoothed, spec.eta_eff, spec.det.N, spec.k)
+    out = _reference_husimi_unsmooth(conditioned)
+    return ProcessOutcome(out, _reference_integral(out))
+
+
+def _reference_probability_table(spec, beta):
+    n2 = spec.sub.det.N
+    rows = []
+    for k1 in range(spec.add.det.N + 1):
+        addition = AdditionSpec(spec.add.sq, spec.add.det, k1)
+        added = _reference_add(PhaseSpaceMixture.coherent(beta), addition)
+        lost = _reference_scale_loss(added.state, spec.sub.bs.t)
+        conditioned = [_reference_click_factor(lost, spec.sub.eta_eff, n2, k2) for k2 in range(n2 + 1)]
+        rows.append([ProcessOutcome(None, _reference_integral(m)).probability for m in conditioned])
+    return np.array(rows)
+
+
+def _same_bits(x, y):
+    return _bits_complex(complex(x)) == _bits_complex(complex(y))
+
+
+def test_maps_bit_identical_to_per_term_references():
+    rng = np.random.default_rng(20140611)
+    for n_gauss, n_delta in [(0, 1), (1, 0), (3, 0), (5, 2), (12, 3)]:
+        for _ in range(4):
+            mixture = _spread_mixture(rng, n_gauss, n_delta)
+            assert _same_bits(integral(mixture), _reference_integral(mixture))
+            for t in (1.0, 0.9, float(rng.uniform(0.3, 1.0))):
+                assert _bits(scale_loss(mixture, t)) == _bits(_reference_scale_loss(mixture, t))
+            for mu in (1.05, float(rng.uniform(1.1, 2.0))):
+                expect = _reference_convolve(mixture, mu, mu * mu - 1.0)
+                assert _bits(convolve_noise(mixture, mu)) == _bits(expect)
+            assert _bits(husimi_smooth(mixture)) == _bits(_reference_convolve(mixture, 1.0, 1.0))
+            # after the noise map every width is finite, so every smoothed
+            # width is below 1 and unsmoothing is defined
+            smoothed = husimi_smooth(convolve_noise(mixture, mu))
+            assert _bits(husimi_unsmooth(smoothed)) == _bits(_reference_husimi_unsmooth(smoothed))
+            assert _same_bits(integral(smoothed), _reference_integral(smoothed))
+
+
+def _outcome_bits(build):
+    """Bits of a protocol outcome's state and probability, or the error it raised."""
+    try:
+        outcome = build()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(outcome.state), _bits_complex(complex(outcome.probability))
+
+
+def test_protocols_bit_identical_to_reference_maps():
+    rng = np.random.default_rng(20140927)
+    for n in (1, 4, 8, 12):
+        for _ in range(3):
+            eta, t, mu = (float(x) for x in rng.uniform([0.3, 0.55, 1.1], [0.95, 0.9, 1.8]))
+            alpha0 = complex(*rng.uniform(-1.2, 1.2, 2))
+            nbar = float(rng.uniform(0.2, 1.5))
+            inputs = [
+                PhaseSpaceMixture.thermal(nbar),
+                PhaseSpaceMixture.coherent(alpha0),
+                PhaseSpaceMixture.displaced_thermal(alpha0, nbar),
+            ]
+            for p_in in inputs:
+                for k in range(n + 1):
+                    sub = SubtractionSpec(BeamSplitterConfig(t), DetectorConfig(n, eta), k)
+                    got = _outcome_bits(lambda: subtract(p_in, sub))
+                    assert got == _outcome_bits(lambda: _reference_subtract(p_in, sub)), (n, k)
+                    addition = AdditionSpec(SqueezerConfig.from_mu(mu), DetectorConfig(n, eta), k)
+                    got = _outcome_bits(lambda: add(p_in, addition))
+                    assert got == _outcome_bits(lambda: _reference_add(p_in, addition)), (n, k)
+    for n in (1, 3, 6):
+        for _ in range(3):
+            low, high = [0.4, 0.4, 1.2, 0.55], [0.8, 0.8, 1.8, 0.8]
+            eta1, eta2, mu, t = (float(x) for x in rng.uniform(low, high))
+            spec = AmplifySpec(
+                AdditionSpec(SqueezerConfig.from_mu(mu), DetectorConfig(n, eta1), 0),
+                SubtractionSpec(BeamSplitterConfig(t), DetectorConfig(n, eta2), 0),
+            )
+            beta = complex(*rng.uniform(-1.2, 1.2, 2))
+            got, expect = probability_table(spec, beta), _reference_probability_table(spec, beta)
+            assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), (n, beta)
+
+
+BAD_GAUSSIANS = {
+    "c-inf": ((math.inf, 0.3j, 0.5), "coefficient must be finite"),
+    "c-nan": ((math.nan, 0.3j, 0.5), "coefficient must be finite"),
+    "a-zero": ((1.0, 0.3j, 0.0), "inverse width must be positive"),
+    "a-negative": ((1.0, 0.3j, -0.3), "inverse width must be positive"),
+    "a-nan": ((1.0, 0.3j, math.nan), "inverse width must be positive"),
+}
+MAPS = {
+    "scale_loss": lambda m: scale_loss(m, 0.5),
+    "convolve_noise": lambda m: convolve_noise(m, 1.2),
+    "husimi_smooth": husimi_smooth,
+    "husimi_unsmooth": husimi_unsmooth,
+    # k = N keeps each input width for j = N
+    "multiply_click_factor": lambda m: multiply_click_factor(m, 0.5, 4, 4),
+    "unpruned_click_factor": lambda m: multiply_click_factor(m, 0.5, 4, 4, prune=False),
+}
+
+
+@pytest.mark.parametrize("fields, message", BAD_GAUSSIANS.values(), ids=BAD_GAUSSIANS.keys())
+def test_invalid_gaussian_rejected_by_from_terms_and_every_map(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PhaseSpaceMixture.from_terms((GaussianTerm(*fields),))
+    with pytest.raises(ValueError, match=message):
+        PhaseSpaceMixture.from_fields(*([x] for x in fields))
+    # the plain constructor checks nothing; each map checks what it builds
+    unchecked = PhaseSpaceMixture(*([x] for x in fields))
+    for apply in MAPS.values():
+        with pytest.raises(ValueError, match=message):
+            apply(unchecked)
+    if message.startswith("coefficient"):
+        with pytest.raises(ValueError, match=message):
+            click_factor_integrals(unchecked, 0.5, 4)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_invalid_delta_rejected_by_from_terms_and_every_map(c):
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        PhaseSpaceMixture.from_terms((), (DeltaTerm(c, 0.3j),))
+    unchecked = PhaseSpaceMixture(dc=(c,), dz=(0.3j,))
+    for name, apply in MAPS.items():
+        # the smoothed side carries no deltas at all
+        match = "delta terms" if name == "husimi_unsmooth" else "coefficient must be finite"
+        with pytest.raises(ValueError, match=match):
+            apply(unchecked)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        click_factor_integrals(unchecked, 0.5, 4)
+
+
+def test_closed_form_amplifier_rejects_non_finite_coefficients():
+    spec = AmplifySpec(
+        AdditionSpec(SqueezerConfig.from_mu(1.4), DetectorConfig(4, 0.5), 1),
+        SubtractionSpec(BeamSplitterConfig(0.7), DetectorConfig(4, 0.5), 1),
+    )
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        amplify_closed_form(complex(math.nan, 0.0), spec)
+
+
+# one weight past the float range, and two finite weights whose sum is
+HUGE_MIXTURES = {
+    "weight": PhaseSpaceMixture.from_terms((GaussianTerm(1e308, 0.5 + 0j, 1.0),)),
+    "sum": PhaseSpaceMixture.from_terms((GaussianTerm(3e307, 0j, 1.0), GaussianTerm(3e307, 0.5 + 0j, 1.0))),
+}
+
+
+@pytest.mark.parametrize("huge", HUGE_MIXTURES.values(), ids=HUGE_MIXTURES.keys())
+def test_overflowing_weights_raise_instead_of_pruning_to_nothing(huge):
+    with pytest.raises(NumericalError, match="not finite"):
+        huge.pruned()
+    spec = SubtractionSpec(BeamSplitterConfig(0.9999), DetectorConfig(8, 0.5), 0)
+    with pytest.raises(NumericalError, match="not finite"):
+        subtract(huge, spec)
+
+
+@pytest.mark.parametrize("huge", HUGE_MIXTURES.values(), ids=HUGE_MIXTURES.keys())
+def test_click_factor_integrals_overflowing_weights_raise(huge):
+    with pytest.raises(NumericalError, match="not finite"):
+        click_factor_integrals(huge, 0.5, 1)
