@@ -21,9 +21,8 @@ so three routes are provided:
 
 * ``d_recursive`` -- default path; double precision with compensated
   (error-tracked) accumulation.  Forward stable in the probability regime
-  where all mixing coefficients are non-negative.  Narrow tables (small
-  kmax) are filled cell by cell in Python floats, wider ones m-major in
-  numpy; both orders give the same bits.
+  where all mixing coefficients are non-negative.  Tables are filled row by
+  row in Python floats, at about 1 us per cell.
 * ``d_direct`` -- the alternating sum, evaluated with error-free transforms
   (double-double powers, exact splitting of the integer coefficients) and an
   exact final summation.  Test/cross-check path.
@@ -209,25 +208,13 @@ def d_exact(
     return total
 
 
-# tables with kmax below this are filled by ``_fill_scalar``, wider ones by
-# ``_fill_numpy``
-_NUMPY_KMAX = 16
-
-
 def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     """Fill a (kmax+1) x (mmax+1) table of D[k, m] by the two-term recursion.
 
     Each cell is accumulated with error tracking: the two products carry
     their rounding remainders (Dekker's exact product), which are folded back
-    before the next step.
-
-    Two evaluation orders give the same bits, since every cell takes the same
-    IEEE operations in the same order.  A table with kmax below
-    ``_NUMPY_KMAX`` is filled row by row in Python floats, at about 1 us per
-    cell; a wider one m-major in numpy, at a fixed 30 calls (15 to 25 us)
-    per step whatever kmax.  The two costs cross at kmax of about 16 to 24
-    on a 2-core x86-64 machine; the switch sits at the low end, where the
-    scalar fill is at worst about as fast as numpy.
+    before the next step.  The table is filled row by row in Python floats,
+    at about 1 us per cell.
 
     A table that leaves the float range (large |tau| or sigma) raises
     ``NumericalError``; in the detector regime tau + sigma = 1 it cannot.
@@ -241,11 +228,10 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     karr = np.arange(1, kmax + 1, dtype=float)
     ca = params.tau + params.sigma * karr / n
     cb = params.sigma * (n - karr + 1.0) / n
-    fill = _fill_scalar if kmax < _NUMPY_KMAX else _fill_numpy
     with np.errstate(over="ignore", invalid="ignore"):
         row0 = np.ones(mmax + 1)
         row0[1:] = params.tau ** np.arange(1, mmax + 1)
-        values = fill(row0, ca, cb)
+        values = _fill_scalar(row0, ca, cb)
     if not np.isfinite(values).all():
         raise NumericalError(f"kernel table of {params} overflows the float range")
     values.flags.writeable = False
@@ -259,7 +245,7 @@ def _fill_scalar(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray
     meets ca[k] is carried in locals.
     """
     values = np.empty((ca.size + 1, row0.size))
-    values[0] = row0 + 0.0  # hi + lo with lo = 0, as in the numpy fill
+    values[0] = row0 + 0.0  # hi + lo with lo = 0, as the other rows
     hi, lo = row0.tolist(), [0.0] * row0.size
     for a, b, out in zip(ca.tolist(), cb.tolist(), values[1:]):
         ah = _SPLIT * a
@@ -296,67 +282,3 @@ def _fill_scalar(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray
         out[:] = hi
         out += lo
     return values
-
-
-def _fill_numpy(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """All rows at once, m-major, each row held twice, so that step m forms
-    ca*D[k, m-1] and cb*D[k-1, m-1] as one operation on contiguous memory:
-    a step is a fixed 30 numpy calls into preallocated buffers."""
-    kmax, mmax = ca.size, row0.size - 1
-    # rows[m, 0] and rows[m, 1] hold D[0..kmax, m] as hi + lo, each twice
-    rows = np.zeros((mmax + 1, 2, 2, kmax + 1))
-    rows[:, 0, :, 0] = row0[:, None]
-    if kmax:
-        # coef[0, k] = ca[k] meets D[k, m-1]; coef[1, k-1] = cb[k] meets D[k-1, m-1]
-        coef = np.zeros((2, kmax + 1))
-        coef[0, 1:] = ca
-        coef[1, :-1] = cb
-        split = np.full(coef.shape, _SPLIT)
-        coef_hi = split * coef
-        coef_hi -= coef_hi - coef
-        coef_lo = coef - coef_hi
-        coef_2 = np.stack([coef, coef])
-        prods = np.empty((2, *coef.shape))
-        prod, carried = prods
-        perr, tmp, x_hi, x_lo = np.empty((4, *coef.shape))
-        t1h, t2h, t1e, t2e = prod[0, 1:], prod[1, :-1], perr[0, 1:], perr[1, :-1]
-        sh, bb, u, err = np.empty((4, kmax))
-        mul, add, sub = np.multiply, np.add, np.subtract
-        steps = zip(
-            rows[:-1], rows[:-1, 0], rows[1:, 0, 0, 1:], rows[1:, 1, 0, 1:],
-            rows[1:, :, 1], rows[1:, :, 0],
-        )
-        for prev, prev_hi, out_hi, out_lo, copy, first in steps:
-            # coef * (hi, lo) of row m-1; then Dekker's error of coef * hi
-            mul(coef_2, prev, out=prods)
-            mul(split, prev_hi, out=tmp)
-            sub(tmp, prev_hi, out=x_hi)
-            sub(tmp, x_hi, out=x_hi)
-            sub(prev_hi, x_hi, out=x_lo)
-            mul(coef_hi, x_hi, out=perr)
-            sub(perr, prod, out=perr)
-            mul(coef_hi, x_lo, out=tmp)
-            add(perr, tmp, out=perr)
-            mul(coef_lo, x_hi, out=tmp)
-            add(perr, tmp, out=perr)
-            mul(coef_lo, x_lo, out=tmp)
-            add(perr, tmp, out=perr)
-            add(perr, carried, out=perr)
-            # two-sum t1h + t2h, every remainder folded into err
-            add(t1h, t2h, out=sh)
-            sub(sh, t1h, out=bb)
-            sub(sh, bb, out=u)
-            sub(t1h, u, out=u)
-            sub(t2h, bb, out=bb)
-            add(u, bb, out=err)
-            add(err, t1e, out=err)
-            add(err, t2e, out=err)
-            # two-sum sh + err is row m; then its copy
-            add(sh, err, out=out_hi)
-            sub(out_hi, sh, out=bb)
-            sub(out_hi, bb, out=u)
-            sub(sh, u, out=u)
-            sub(err, bb, out=bb)
-            add(u, bb, out=out_lo)
-            np.copyto(copy, first)
-    return (rows[:, 0, 0] + rows[:, 1, 0]).T.copy()

@@ -119,9 +119,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def normalized(self) -> "DensityMatrix":
-        return DensityMatrix(self.cutoff, _readonly(self.entries / self.trace))
-
     def validate(self) -> None:
         """Check Hermiticity, positivity and trace bounds; raise on violation."""
         h = np.abs(self.entries - self.entries.conj().T).max()

@@ -172,8 +172,12 @@ class PhaseSpaceMixture(NamedTuple):
 
 
 def integral(mixture: PhaseSpaceMixture) -> float:
-    """Exact integral of P over the phase plane (the trace of the operator)."""
-    return math.fsum([c * math.pi / a for c, a in zip(mixture.c, mixture.a)] + list(mixture.dc))
+    """Exact integral of P over the phase plane (the trace of the operator).
+    NumericalError if its partial sums leave the float range."""
+    try:
+        return math.fsum([c * math.pi / a for c, a in zip(mixture.c, mixture.a)] + list(mixture.dc))
+    except OverflowError as exc:
+        raise NumericalError("the integral of the mixture overflows the float range") from exc
 
 
 def scale_loss(mixture: PhaseSpaceMixture, t: float) -> PhaseSpaceMixture:
@@ -284,7 +288,7 @@ def _click_expansion(eta_eff: float, n_diodes: int, k: int) -> list[tuple[int, f
 
 
 def multiply_click_factor(
-    mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int, k: int, prune: bool = True
+    mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int, k: int
 ) -> PhaseSpaceMixture:
     """Multiply pointwise by the k-click conditioning factor.
 
@@ -292,7 +296,7 @@ def multiply_click_factor(
     k-th power is expanded binomially into k+1 exponentials
     ``C(N,k) C(k,j) (-1)^(k-j) exp(-eta_eff (1 - j/N) |alpha|^2)`` and each
     product of Gaussians is completed to a Gaussian again, so the term count
-    multiplies by (k+1).
+    multiplies by (k+1) before the result is ``pruned``.
     """
     expansion = _click_expansion(eta_eff, n_diodes, k)
     if eta_eff == 0.0:
@@ -309,8 +313,7 @@ def multiply_click_factor(
             widths.append(anew)
     dc = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
           for c, z in zip(mixture.dc, mixture.dz)]
-    out = PhaseSpaceMixture.from_fields(cs, zs, widths, dc, mixture.dz, mixture.dropped)
-    return out.pruned() if prune else out
+    return PhaseSpaceMixture.from_fields(cs, zs, widths, dc, mixture.dz, mixture.dropped).pruned()
 
 
 def click_factor_integrals(mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int) -> list[float]:

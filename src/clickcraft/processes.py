@@ -31,7 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import (
+    DEFAULT_TAIL_TOL,
     BeamSplitterConfig,
+    CutoffError,
     ProcessOutcome,
     SqueezerConfig,
     TwoModeDensityMatrix,
@@ -152,7 +154,8 @@ def herald_tmsv_distribution(
     The joint state is diagonal, (1-omega) sum omega^n |n,n><n,n| with
     0 < omega < 1, so conditioning on k clicks gives the closed form
     p_n = (1-omega) omega^n D[k, n] without any Fock-space truncation beyond
-    the geometric tail.
+    the geometric tail.  An explicit ``cutoff`` that leaves more than the
+    oracle's tail tolerance, omega**cutoff > 1e-10, raises ``CutoffError``.
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
@@ -160,6 +163,13 @@ def herald_tmsv_distribution(
         raise ValueError(f"click number k={k} outside 0..{det.N}")
     if cutoff is None:
         cutoff = max(k + 8, math.ceil(math.log(1e-18) / math.log(omega)))
+    elif cutoff < 1:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    elif omega**cutoff > DEFAULT_TAIL_TOL:
+        raise CutoffError(
+            f"phase-diffused pair state omega={omega} has tail {omega ** cutoff:.3g} "
+            f"at cutoff {cutoff}"
+        )
     table = click_kernel_table(det, k, cutoff - 1)
     weights = (1.0 - omega) * omega ** np.arange(cutoff) * table.row(k)
     probability = float(weights.sum())

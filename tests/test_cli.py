@@ -75,6 +75,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_herald_cutoff_below_tail_is_numerical_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        **HERALD_CONFIG,
+        "input": {"kind": "phase_diffused_tmsv", "omega": 0.9},
+        "clicks": [0, 1, 2, 3, 4],
+        "cutoff": 10,
+    })
+    out = tmp_path / "out"
+    assert main(["herald", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(out.glob("herald_k*"))
+
+
 def test_cancellation_is_numerical_failure(tmp_path, capsys):
     # the table1 amplifier at N1 = N2 = 16: the alternating click-factor
     # expansion drives a probability below -1e-9, which is a numerical

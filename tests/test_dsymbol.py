@@ -18,7 +18,7 @@ from clickcraft import (
 )
 import clickcraft
 import clickcraft.fock
-from clickcraft.dsymbol import _NUMPY_KMAX, NumericalError
+from clickcraft.dsymbol import NumericalError
 
 
 def test_direct_initial_value():
@@ -197,17 +197,15 @@ def _reference_recursion(params, kmax, mmax):
 
 
 def _bit_cases():
-    switch = _NUMPY_KMAX  # the narrowest table filled by numpy
     edges = [
         (1, 1, 0, 0.3, 0.7),  # mmax = 0
         (5, 0, 40, 0.3, 0.7),  # kmax = 0
         (1, 1, 60, 0.25, 0.75),  # N = 1
         (16, 12, 80, 0.2, 1.8),  # sigma > 1
         (64, 64, 127, 0.2, 0.8),
-        # either side of the switch between the two evaluation orders
-        (40, switch - 1, 90, 0.35, 0.65),
-        (40, switch, 90, 0.35, 0.65),
-        (40, switch + 1, 90, 0.35, 0.65),
+        (40, 15, 90, 0.35, 0.65),
+        (40, 16, 90, 0.35, 0.65),
+        (40, 17, 90, 0.35, 0.65),
         (8, 2, 2000, 0.3, 0.7),  # narrow, with a long mmax
         # eta = 0, eta = 1 and tau < 0 (subtraction regime), narrow and wide
         (8, 8, 50, 1.0, 0.0),
@@ -241,9 +239,9 @@ def test_d_recursive_bit_identical_to_reference_recursion():
 
 def test_narrow_table_rows_equal_full_table_rows():
     # click_povm_element reads row k of the N+1-row table; a table built with
-    # kmax = k holds the same row, whichever evaluation order each one takes
+    # kmax = k holds the same row
     for det in (DetectorConfig(40, 0.7), DetectorConfig(9, 0.45)):
-        for k in sorted({1, 3, _NUMPY_KMAX - 1, _NUMPY_KMAX, _NUMPY_KMAX + 1, det.N}):
+        for k in sorted({1, 3, 15, 16, 17, det.N}):
             if k > det.N:
                 continue
             full = click_povm_element(det, k, 128).weights
@@ -251,11 +249,11 @@ def test_narrow_table_rows_equal_full_table_rows():
             assert np.array_equal(full.view(np.uint64), narrow.view(np.uint64)), (det, k)
 
 
-@pytest.mark.parametrize("kmax", [8, _NUMPY_KMAX], ids=["scalar", "numpy"])
+@pytest.mark.parametrize("kmax", [8, 16])
 def test_d_recursive_overflow_is_numerical_error(kmax):
-    # both fills used to return tables of inf and nan, the numpy one with a
-    # RuntimeWarning only
-    params = DSymbolParams(_NUMPY_KMAX, 1e200, 1e200)
+    # an overflowing table raises rather than returning inf and nan, and
+    # without a RuntimeWarning
+    params = DSymbolParams(16, 1e200, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="float range"):

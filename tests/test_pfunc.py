@@ -156,8 +156,9 @@ def test_click_factor_zero_efficiency():
 def test_click_factor_term_count():
     mix = random_mixture(3)
     for k in range(4):
-        out = multiply_click_factor(mix, 0.5, 8, k, prune=False)
+        out = multiply_click_factor(mix, 0.5, 8, k)
         assert len(out.gaussians) == 3 * (k + 1)
+        assert out.dropped == mix.dropped  # pruning removed no term
 
 
 def test_click_factor_validation():
@@ -208,6 +209,14 @@ def test_integral_gaussian_closed_form():
 def test_integral_of_normalized_states():
     assert integral(PhaseSpaceMixture.thermal(1.3)) == pytest.approx(1.0)
     assert integral(PhaseSpaceMixture.displaced_thermal(0.5j, 0.2)) == pytest.approx(1.0)
+
+
+def test_integral_past_float_range_is_numerical_error():
+    # finite weights 0.9e308 each, whose sum overflows inside fsum
+    c = 0.9e308 / math.pi
+    mix = PhaseSpaceMixture.from_terms((GaussianTerm(c, 0j, 1.0), GaussianTerm(c, 0.5 + 0j, 1.0)))
+    with pytest.raises(NumericalError, match="float range"):
+        integral(mix)
 
 
 def test_moment_thermal_mean():
@@ -410,17 +419,18 @@ def test_term_algebra_bit_identical_to_per_term_loops():
                           (16, 16, 0.8), (24, 7, 2.5), (12, 12, 0.01)]:
         for n_gauss, n_delta in [(0, 2), (3, 0), (5, 2)]:
             mixture = _spread_mixture(rng, n_gauss, n_delta)
-            for prune in (True, False):
-                out = multiply_click_factor(mixture, eta_eff, n, k, prune=prune)
-                expect = _reference_click_factor(mixture, eta_eff, n, k, prune=prune)
-                assert _bits(out) == _bits(expect), (n, k, eta_eff, n_gauss, n_delta, prune)
-                dropped_any |= prune and out.dropped > mixture.dropped
+            out = multiply_click_factor(mixture, eta_eff, n, k)
+            expect = _reference_click_factor(mixture, eta_eff, n, k)
+            assert _bits(out) == _bits(expect), (n, k, eta_eff, n_gauss, n_delta)
+            dropped_any |= out.dropped > mixture.dropped
             for rel_tol in (1e-15, 1e-6):
                 expect = _reference_pruned(mixture, rel_tol)
                 assert _bits(mixture.pruned(rel_tol)) == _bits(expect)
+            # moments of the full expansion, before pruning drops any term
+            full = _reference_click_factor(mixture, eta_eff, n, k, prune=False)
             for p in range(7):
                 for q in range(7 - p):
-                    got, ref = moment(out, p, q), _reference_moment(out, p, q)
+                    got, ref = moment(full, p, q), _reference_moment(full, p, q)
                     assert _bits_complex(got) == _bits_complex(ref), (p, q)
     assert dropped_any  # pruning removed terms somewhere
 
@@ -610,7 +620,6 @@ MAPS = {
     "husimi_unsmooth": husimi_unsmooth,
     # k = N keeps each input width for j = N
     "multiply_click_factor": lambda m: multiply_click_factor(m, 0.5, 4, 4),
-    "unpruned_click_factor": lambda m: multiply_click_factor(m, 0.5, 4, 4, prune=False),
 }
 
 

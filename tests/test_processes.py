@@ -9,6 +9,7 @@ from clickcraft import (
     AdditionSpec,
     AmplifySpec,
     BeamSplitterConfig,
+    CutoffError,
     DetectorConfig,
     NumericalError,
     PhaseSpaceMixture,
@@ -92,6 +93,19 @@ def test_herald_probabilities_partition():
         herald_tmsv_distribution(0.25, det, k).probability for k in range(17)
     )
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_herald_explicit_cutoff_below_tail_is_cutoff_error():
+    # omega = 0.9 at cutoff 10 would keep k = 0..4 probabilities summing to 0.651
+    det = DetectorConfig(4, 0.9)
+    with pytest.raises(CutoffError, match="cutoff 10"):
+        herald_tmsv_distribution(0.9, det, 1, 10)
+    with pytest.raises(ValueError):
+        herald_tmsv_distribution(0.9, det, 1, 0)
+    # 0.9**219 is below 1e-10; 0.9**218 is not
+    assert herald_tmsv_distribution(0.9, det, 1, 219).weights.size == 219
+    with pytest.raises(CutoffError):
+        herald_tmsv_distribution(0.9, det, 1, 218)
 
 
 def test_herald_fidelity_grows_with_diode_count():
