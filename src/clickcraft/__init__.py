@@ -42,7 +42,6 @@ from .pfunc import (
 from .povm import (
     ClickDistribution,
     DetectorConfig,
-    DiagonalPOVMElement,
     OperatorNormDistance,
     click_kernel_table,
     click_povm_element,
@@ -59,7 +58,6 @@ from .processes import (
     amplify,
     amplify_closed_form,
     effective_sigma2,
-    herald,
     herald_tmsv_distribution,
     nu_for_sigma2,
     probability_addition_displaced_thermal,

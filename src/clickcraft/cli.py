@@ -14,10 +14,11 @@ phase-invariant or real-axis states repeat most of their cells.  Distinct
 means distinct bits, not values, because ``-0.0 == 0.0`` prints as ``-0``
 and ``0``, and a deduplication by value would also merge every NaN.
 
-Exit codes: 0 success, 1 config parse error, 2 parameter validation error,
-3 numerical failure (a cutoff could not hold the requested tail tolerance, or
-a result failed a numerical sanity check: ``CutoffError`` or
-``NumericalError``).
+Exit codes: 0 success, 1 config parse error, 2 parameter validation error
+(or an output directory that cannot be created), 3 numerical failure (a
+result failed a numerical sanity check, or a cutoff could not hold the
+requested tail tolerance: ``NumericalError``, of which ``CutoffError`` is
+one kind).
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dsymbol import NumericalError
 from .fock import (
     BeamSplitterConfig,
-    CutoffError,
-    NumericalError,
     ProcessOutcome,
     SqueezerConfig,
     make_state,
@@ -55,6 +55,9 @@ from .processes import (
 )
 
 PROTOCOLS = ("herald", "subtract", "add", "amplify", "clickstats", "errorbound")
+# a photon distribution, or a one-mode state of ``make_state``
+CLICKSTATS_KINDS = ("photon_distribution", "vacuum", "fock", "coherent", "thermal",
+                    "displaced_thermal")
 
 
 class ConfigError(Exception):
@@ -416,6 +419,9 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
 def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
     inp = _require(config, "input")
     kind = _require(inp, "kind")
+    if kind not in CLICKSTATS_KINDS:
+        raise ConfigError(f"clickstats input kind must be one of {', '.join(CLICKSTATS_KINDS)}, "
+                          f"got {kind!r}")
     if kind == "photon_distribution":
         probs = _require(inp, "probs")
         if not isinstance(probs, list):
@@ -508,17 +514,20 @@ def main(argv: list[str] | None = None) -> int:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
         grid = None
-        if args.grid is not None:
-            grid = _grid_from_flag(args.grid)
-        elif "grid" in config:
-            grid = _grid_from(config["grid"])
+        if args.grid is not None or "grid" in config:
+            if args.protocol in ("herald", "clickstats", "errorbound"):
+                raise ConfigError(f"{args.protocol} renders no P function and takes no grid")
+            grid = _grid_from(config["grid"]) if args.grid is None else _grid_from_flag(args.grid)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create the output directory: {exc}") from exc
         files, resolved = _RUNNERS[args.protocol](config, outdir, fmt, grid)
     except ConfigError as exc:
         print(f"clickcraft: config error: {exc}", file=sys.stderr)
         return 1
-    except (CutoffError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"clickcraft: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -39,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "DSymbolParams",
+    "CutoffError",
     "DSymbolTable",
     "NumericalError",
     "d_direct",
@@ -52,6 +53,10 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 class NumericalError(ValueError):
     """A computed result is not trustworthy (e.g. a probability driven below
     zero by cancellation); the inputs themselves were valid."""
+
+
+class CutoffError(NumericalError):
+    """The requested truncation cannot represent the state to the tail tolerance."""
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:

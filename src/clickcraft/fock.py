@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsymbol import NumericalError
+from .dsymbol import CutoffError, NumericalError
 from .povm import DetectorConfig, click_povm_element
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-10
 UNITARY_TAIL_TOL = 1e-8
-
-
-class CutoffError(Exception):
-    """The requested truncation cannot represent the state to the tail tolerance."""
 
 
 @dataclass(frozen=True)
@@ -475,10 +471,8 @@ def condition_on_clicks(
     Returns the unnormalized mode-A state sum_m D[k, m] <m|_B rho |m>_B whose
     trace is the probability of seeing k clicks.
     """
-    if not 0 <= k <= det.N:
-        raise ValueError(f"click number k={k} outside 0..{det.N}")
     d_a, d_b = state.cutoffs
-    weights = click_povm_element(det, k, d_b).weights
+    weights = click_povm_element(det, k, d_b)  # checks 0 <= k <= N
     out = np.tensordot(weights, state._detector_blocks, axes=1)
     reduced = DensityMatrix(d_a, _readonly(out))
     return ProcessOutcome(state=reduced, probability=reduced.trace)

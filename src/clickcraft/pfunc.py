@@ -5,16 +5,15 @@ mixture of isotropic Gaussian terms ``c * exp(-a|alpha - z|^2)`` and delta
 terms ``c * delta^2(alpha - z)`` (exact coherent components).  This family is
 closed under every map used by the engineering protocols:
 
-* ``scale_loss``            -- beam-splitter attenuation, P(alpha) -> P(alpha/t)/t^2
-* ``convolve_noise``        -- parametric-amplifier noise: amplitude gain mu and
-                               a thermal Gaussian of variance mu^2 - 1
+* ``scale_loss``, ``convolve_noise``, ``husimi_smooth`` and ``husimi_unsmooth``
+  -- one affine map: centres times a gain, then a Gaussian convolution of a
+  variance, at (gain, variance) = (t, 0) for beam-splitter attenuation
+  P(alpha) -> P(alpha/t)/t^2, (mu, mu^2 - 1) for parametric-amplifier noise,
+  and (1, 1) and (1, -1) between P and pi times the Husimi Q function; the
+  click factor of a *pair-generation* stage acts on Q, not P
 * ``multiply_click_factor`` -- pointwise multiplication by the k-click factor
-                               C(N,k) (e^{-g|a|^2/N})^{N-k} (1-e^{-g|a|^2/N})^k,
-                               expanded binomially so products stay Gaussian
-* ``husimi_smooth`` / ``husimi_unsmooth``
-                            -- between P and pi times the Husimi Q function (the
-                               unit vacuum convolution and its inverse); the click
-                               factor of a *pair-generation* stage acts on Q, not P
+  C(N,k) (e^{-g|a|^2/N})^{N-k} (1-e^{-g|a|^2/N})^k, expanded binomially so
+  products stay Gaussian
 
 plus exact ``integral`` (trace), normally ordered ``moment`` and grid
 evaluation for rendering.
@@ -180,6 +179,36 @@ def integral(mixture: PhaseSpaceMixture) -> float:
         raise NumericalError("the integral of the mixture overflows the float range") from exc
 
 
+def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> PhaseSpaceMixture:
+    """Amplify centres by ``gain`` > 0, then convolve with a normalized Gaussian
+    of the given variance: (c, z, a) -> (c/d, gain z, a/d), d = gain^2 + a variance.
+    Integral-preserving.  At variance 0 a delta moves to gain z, a positive
+    variance makes it a Gaussian of inverse width 1/variance, and a negative one
+    (a deconvolution) rejects deltas and every d <= 0.
+    """
+    if variance < 0 and mixture.dc:
+        raise ValueError("the smoothed representation cannot carry delta terms")
+    cs, zs, widths = [], [], []
+    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
+        # width gain^2/a from amplification, plus the kernel variance
+        denom = gain * gain + a * variance
+        if denom <= 0 and variance < 0:
+            raise ValueError("delta-shaped contribution: a conditioned term has collapsed to zero "
+                             "width (unit-efficiency conditioning of a coherent input); the P "
+                             "function is no longer a regular Gaussian mixture")
+        cs.append(c / denom)
+        zs.append(gain * z)
+        widths.append(a / denom)
+    if variance == 0:
+        dz = [gain * z for z in mixture.dz]
+        return PhaseSpaceMixture.from_fields(cs, zs, widths, mixture.dc, dz, mixture.dropped)
+    for c, z in zip(mixture.dc, mixture.dz):
+        cs.append(c / (math.pi * variance))
+        zs.append(gain * z)
+        widths.append(1.0 / variance)
+    return PhaseSpaceMixture.from_fields(cs, zs, widths, dropped=mixture.dropped)
+
+
 def scale_loss(mixture: PhaseSpaceMixture, t: float) -> PhaseSpaceMixture:
     """Attenuation by amplitude transmission t: P(alpha) -> P(alpha/t) / t^2.
 
@@ -188,31 +217,7 @@ def scale_loss(mixture: PhaseSpaceMixture, t: float) -> PhaseSpaceMixture:
     """
     if not 0 < t <= 1:
         raise ValueError(f"transmission must satisfy 0 < t <= 1, got {t}")
-    t2 = t * t
-    cs, zs, widths = [], [], []
-    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
-        cs.append(c / t2)
-        zs.append(t * z)
-        widths.append(a / t2)
-    dz = [t * z for z in mixture.dz]
-    return PhaseSpaceMixture.from_fields(cs, zs, widths, mixture.dc, dz, mixture.dropped)
-
-
-def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> PhaseSpaceMixture:
-    """Convolve with a normalized Gaussian kernel of the given variance while
-    amplifying centers by ``gain``; integral-preserving."""
-    cs, zs, widths = [], [], []
-    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
-        # width gain^2/a from amplification, plus the kernel variance
-        denom = gain * gain + a * variance
-        cs.append(c / denom)
-        zs.append(gain * z)
-        widths.append(a / denom)
-    for c, z in zip(mixture.dc, mixture.dz):
-        cs.append(c / (math.pi * variance))
-        zs.append(gain * z)
-        widths.append(1.0 / variance)
-    return PhaseSpaceMixture.from_fields(cs, zs, widths, dropped=mixture.dropped)
+    return _convolve(mixture, t, 0.0)
 
 
 def convolve_noise(mixture: PhaseSpaceMixture, mu: float) -> PhaseSpaceMixture:
@@ -245,21 +250,13 @@ def husimi_unsmooth(mixture: PhaseSpaceMixture) -> PhaseSpaceMixture:
     Requires every inverse width a < 1 (a -> 1 is a delta-shaped, infinitely
     narrow contribution, reached only for unit detector efficiency on a
     coherent input).  Delta terms cannot appear on the Q side.
+
+    Centres are multiplied by the gain 1.0.  That can flip only the sign of a
+    zero part of a centre fewer than two real-by-complex products have made,
+    such as a hand-made ``complex(-0.0, -0.0)``; ``add`` passes every centre
+    through the noise map and the smoothing first wherever mu > 1.
     """
-    if mixture.dc:
-        raise ValueError("the smoothed representation cannot carry delta terms")
-    cs, widths = [], []
-    for c, a in zip(mixture.c, mixture.a):
-        rem = 1.0 - a
-        if rem <= 0:
-            raise ValueError(
-                "delta-shaped contribution: a conditioned term has collapsed to "
-                "zero width (unit-efficiency conditioning of a coherent input); "
-                "the P function is no longer a regular Gaussian mixture"
-            )
-        cs.append(c / rem)
-        widths.append(a / rem)
-    return PhaseSpaceMixture.from_fields(cs, mixture.z, widths, dropped=mixture.dropped)
+    return _convolve(mixture, 1.0, -1.0)
 
 
 def _click_factor_value(eta_eff: float, n_diodes: int, k: int, abs2: float) -> float:

@@ -2,7 +2,8 @@
 
 A light field split equally onto N on-off diodes with quantum efficiency eta
 produces k in {0..N} simultaneous clicks.  All POVM elements are diagonal in
-the Fock basis with weights given by the click kernel in the detector regime,
+the Fock basis, so an element is its read-only weight vector over m; the
+weights are the click kernel in the detector regime,
 
     Pi_k = sum_m D[k, m](tau=1-eta, sigma=eta) |m><m| ,
 
@@ -28,7 +29,6 @@ from .dsymbol import DSymbolParams, DSymbolTable, d_recursive
 __all__ = [
     "ClickDistribution",
     "DetectorConfig",
-    "DiagonalPOVMElement",
     "OperatorNormDistance",
     "click_kernel_table",
     "click_povm_element",
@@ -60,21 +60,6 @@ class ClickDistribution:
     det: DetectorConfig
 
 
-@dataclass(frozen=True)
-class DiagonalPOVMElement:
-    """Fock-diagonal POVM element: weights over m = 0..cutoff-1.
-
-    ``kind`` is "click" (finite-N element, weights vanish for m < k) or
-    "photoelectric" (Poissonian counting element, defined for every k >= 0).
-    """
-
-    weights: np.ndarray
-    kind: str
-    k: int
-    eta: float
-    det: DetectorConfig | None = None
-
-
 def click_kernel_table(det: DetectorConfig, kmax: int, mmax: int) -> DSymbolTable:
     """Kernel table in the detector regime tau = 1 - eta, sigma = eta."""
     return d_recursive(DSymbolParams.for_detector(det.N, det.eta), kmax, mmax)
@@ -90,15 +75,14 @@ def _full_kernel_table(det: DetectorConfig, cutoff: int) -> DSymbolTable:
     return click_kernel_table(det, det.N, cutoff - 1)
 
 
-def click_povm_element(det: DetectorConfig, k: int, cutoff: int) -> DiagonalPOVMElement:
-    """Diagonal weights of Pi_k on the truncated Fock basis |0..cutoff-1>."""
+def click_povm_element(det: DetectorConfig, k: int, cutoff: int) -> np.ndarray:
+    """Diagonal weights of Pi_k on the truncated Fock basis |0..cutoff-1>:
+    a read-only row of the cached kernel table, not a copy."""
     if not 0 <= k <= det.N:
         raise ValueError(f"click number k={k} outside 0..{det.N}")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    weights = _full_kernel_table(det, cutoff).row(k).copy()
-    weights.flags.writeable = False
-    return DiagonalPOVMElement(weights=weights, kind="click", k=k, eta=det.eta, det=det)
+    return _full_kernel_table(det, cutoff).row(k)
 
 
 def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistribution:
@@ -158,8 +142,9 @@ def _photoelectric_weight(m: int, k: int, eta: float) -> float:
     return _comb_weight(m, k, eta, 1.0 - eta, m - k, log_b)
 
 
-def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElement:
-    """Poissonian counting element P_k: weights C(m,k) eta^k (1-eta)^(m-k).
+def photoelectric_element(eta: float, k: int, cutoff: int) -> np.ndarray:
+    """Read-only diagonal weights C(m,k) eta^k (1-eta)^(m-k), m = 0..cutoff-1,
+    of the Poissonian counting element P_k.
 
     At eta = 1 this is the k-photon projector.  Defined for every k >= 0;
     only k <= N has a click-counting counterpart.
@@ -176,7 +161,7 @@ def photoelectric_element(eta: float, k: int, cutoff: int) -> DiagonalPOVMElemen
     else:
         weights[k:] = [_photoelectric_weight(m, k, eta) for m in range(k, cutoff)]
     weights.flags.writeable = False
-    return DiagonalPOVMElement(weights=weights, kind="photoelectric", k=k, eta=eta)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -233,7 +218,7 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
         # k = 0: both elements are (1-eta)^m exactly.  eta = 0, k >= 1: both vanish.
         return OperatorNormDistance(0.0, 0.0, 0.0, cutoff)
 
-    pe = photoelectric_element(det.eta, k, cutoff).weights
+    pe = photoelectric_element(det.eta, k, cutoff)
     # row k of the recursion needs rows 0..k only
     click = click_kernel_table(det, k, cutoff - 1).row(k)
     grid_sup = float(np.max(np.abs(pe - click)))

@@ -36,8 +36,8 @@ from .fock import (
     CutoffError,
     ProcessOutcome,
     SqueezerConfig,
-    TwoModeDensityMatrix,
-    condition_on_clicks,
+    # not called here: bench/tracing.py patches clickcraft.processes.condition_on_clicks
+    condition_on_clicks,  # noqa: F401
 )
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
@@ -60,7 +60,6 @@ __all__ = [
     "amplify",
     "amplify_closed_form",
     "effective_sigma2",
-    "herald",
     "herald_tmsv_distribution",
     "nu_for_sigma2",
     "probability_addition_displaced_thermal",
@@ -129,13 +128,6 @@ class AmplifySpec:
 # ---------------------------------------------------------------------------
 
 
-def herald(
-    joint: TwoModeDensityMatrix, det: DetectorConfig, k: int
-) -> ProcessOutcome:
-    """Condition mode B of a bipartite state on k clicks; keep mode A."""
-    return condition_on_clicks(joint, det, k)
-
-
 @dataclass(frozen=True)
 class HeraldedDistribution:
     """Photon distribution of a heralded mode: unnormalized weights, their sum
@@ -173,11 +165,8 @@ def herald_tmsv_distribution(
     table = click_kernel_table(det, k, cutoff - 1)
     weights = (1.0 - omega) * omega ** np.arange(cutoff) * table.row(k)
     probability = float(weights.sum())
-    return HeraldedDistribution(
-        weights=weights,
-        probability=probability,
-        normalized=weights / probability if probability > 0 else weights,
-    )
+    normalized = weights / probability if probability > 0 else weights
+    return HeraldedDistribution(weights, probability, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +176,7 @@ def herald_tmsv_distribution(
 
 def subtract(p_in: PhaseSpaceMixture, spec: SubtractionSpec) -> ProcessOutcome:
     """k-click photon subtraction of a state given by its P function."""
-    out = multiply_click_factor(
-        scale_loss(p_in, spec.bs.t), spec.eta_eff, spec.det.N, spec.k
-    )
+    out = multiply_click_factor(scale_loss(p_in, spec.bs.t), spec.eta_eff, spec.det.N, spec.k)
     return ProcessOutcome(state=out, probability=integral(out))
 
 
@@ -213,13 +200,9 @@ def amplify(
     ``state`` may be a coherent amplitude (complex number) or any mixture.
     The joint probability is the integral of the final unnormalized output.
     """
-    p_in = (
-        state
-        if isinstance(state, PhaseSpaceMixture)
-        else PhaseSpaceMixture.coherent(complex(state))
-    )
-    added = add(p_in, spec.add)
-    return subtract(added.state, spec.sub)
+    if not isinstance(state, PhaseSpaceMixture):
+        state = PhaseSpaceMixture.coherent(complex(state))
+    return subtract(add(state, spec.add).state, spec.sub)
 
 
 def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:

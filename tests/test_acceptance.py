@@ -159,7 +159,7 @@ def test_criterion_2_povm_completeness():
     worst = 0.0
     for n in (1, 4, 16, 64):
         det_weights = [
-            [click_povm_element(DetectorConfig(n, eta), k, 257).weights for k in range(n + 1)]
+            [click_povm_element(DetectorConfig(n, eta), k, 257) for k in range(n + 1)]
             for eta in (0.25, 0.5, 0.8, 0.95, 1.0)
         ]
         for rows in det_weights:
@@ -324,7 +324,7 @@ def test_criterion_7_photoelectric_limit():
     monotone = all(a > b for a, b in zip(values, values[1:]))
     small_enough = values[-1] < 0.25 * values[0]
     projector = np.array_equal(
-        photoelectric_element(1.0, 3, 32).weights,
+        photoelectric_element(1.0, 3, 32),
         np.eye(32)[3],
     )
     ok = monotone and small_enough and projector

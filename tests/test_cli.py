@@ -493,6 +493,58 @@ def test_non_finite_photon_distribution_is_validation_error(tmp_path, capsys):
     assert not (out / "click_distribution.csv").exists()
 
 
+# a grid used to be ignored by these protocols, yet written into the manifest
+NO_GRID_CONFIGS = {
+    "herald": HERALD_CONFIG,
+    "clickstats": FOCK_CLICKSTATS_CONFIG,
+    "errorbound": ERRORBOUND_CONFIG,
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(NO_GRID_CONFIGS))
+def test_grid_for_protocol_without_p_function_is_parse_error(tmp_path, capsys, protocol):
+    payload = NO_GRID_CONFIGS[protocol]
+    out = tmp_path / "out"
+    flag = [protocol, "--config", write_config(tmp_path, payload), "--grid=-1,1,-1,1,3,3"]
+    in_config = [protocol, "--config", write_config(tmp_path, {**payload, "grid": SMALL_GRID}, "g.json")]
+    for argv in (flag, in_config):
+        assert main(argv + ["--out", str(out), "--manifest"]) == 1
+        assert "takes no grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["squeezed", "phase_diffused_tmsv", ["fock"]], ids=["unknown", "two_mode", "list"])
+def test_clickstats_unknown_input_kind_is_parse_error(tmp_path, capsys, kind):
+    # used to exit 2 through the oracle ("unknown state kind", or omega 0.0
+    # for the two-mode phase_diffused_tmsv, whose omega was never passed on)
+    payload = {**FOCK_CLICKSTATS_CONFIG, "input": {"kind": kind, "omega": 0.5}}
+    out = tmp_path / "out"
+    assert main(["clickstats", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "displaced_thermal" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_clickstats_displaced_thermal_input(tmp_path):
+    payload = {**FOCK_CLICKSTATS_CONFIG,
+               "input": {"kind": "displaced_thermal", "alpha": [0.3, 0.2], "nbar": 0.2, "cutoff": 48},
+               "format": "json"}
+    assert main(["clickstats", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    probs = json.loads((tmp_path / "click_distribution.json").read_text())["probability"]
+    assert len(probs) == 5 and sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_out_naming_a_file_is_validation_error(tmp_path, capsys):
+    # used to escape main as a FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    argv = ["herald", "--config", str(CONFIGS / "fig2.json"), "--out", str(taken)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and "output directory" in err
+    assert taken.read_text() == "keep"
+
+
 def test_amplify_json_format(tmp_path):
     rc = main(
         [

@@ -244,7 +244,7 @@ def test_narrow_table_rows_equal_full_table_rows():
         for k in sorted({1, 3, 15, 16, 17, det.N}):
             if k > det.N:
                 continue
-            full = click_povm_element(det, k, 128).weights
+            full = click_povm_element(det, k, 128)
             narrow = click_kernel_table(det, k, 127).row(k)
             assert np.array_equal(full.view(np.uint64), narrow.view(np.uint64)), (det, k)
 
@@ -262,3 +262,6 @@ def test_d_recursive_overflow_is_numerical_error(kmax):
 
 def test_numerical_error_is_one_class():
     assert clickcraft.NumericalError is clickcraft.fock.NumericalError is NumericalError
+    # a cutoff failure is one kind of numerical failure
+    assert clickcraft.CutoffError is clickcraft.fock.CutoffError is clickcraft.dsymbol.CutoffError
+    assert issubclass(clickcraft.CutoffError, NumericalError)

@@ -573,6 +573,9 @@ def _outcome_bits(build):
     return _bits(outcome.state), _bits_complex(complex(outcome.probability))
 
 
+SIGNED_ZERO_CENTRES = (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, -0.9))
+
+
 def test_protocols_bit_identical_to_reference_maps():
     rng = np.random.default_rng(20140927)
     for n in (1, 4, 8, 12):
@@ -585,6 +588,10 @@ def test_protocols_bit_identical_to_reference_maps():
                 PhaseSpaceMixture.coherent(alpha0),
                 PhaseSpaceMixture.displaced_thermal(alpha0, nbar),
             ]
+            # signed-zero centres: every map multiplies centres by its gain,
+            # husimi_unsmooth's gain 1.0 included, and keeps these bits
+            for z in SIGNED_ZERO_CENTRES:
+                inputs += [PhaseSpaceMixture.coherent(z), PhaseSpaceMixture.displaced_thermal(z, nbar)]
             for p_in in inputs:
                 for k in range(n + 1):
                     sub = SubtractionSpec(BeamSplitterConfig(t), DetectorConfig(n, eta), k)

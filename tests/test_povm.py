@@ -26,20 +26,20 @@ from clickcraft import povm
 def test_no_click_element_weights():
     det = DetectorConfig(8, 0.6)
     el = click_povm_element(det, 0, 32)
-    assert np.allclose(el.weights, 0.4 ** np.arange(32), rtol=1e-13)
+    assert np.allclose(el, 0.4 ** np.arange(32), rtol=1e-13)
 
 
 def test_single_photon_weights():
     det = DetectorConfig(16, 0.35)
-    assert click_povm_element(det, 1, 4).weights[1] == pytest.approx(0.35, rel=1e-13)
-    assert click_povm_element(det, 0, 4).weights[1] == pytest.approx(0.65, rel=1e-13)
+    assert click_povm_element(det, 1, 4)[1] == pytest.approx(0.35, rel=1e-13)
+    assert click_povm_element(det, 0, 4)[1] == pytest.approx(0.65, rel=1e-13)
 
 
 def test_blind_detector():
     det = DetectorConfig(4, 0.0)
-    assert np.array_equal(click_povm_element(det, 0, 16).weights, np.ones(16))
+    assert np.array_equal(click_povm_element(det, 0, 16), np.ones(16))
     for k in range(1, 5):
-        assert np.array_equal(click_povm_element(det, k, 16).weights, np.zeros(16))
+        assert np.array_equal(click_povm_element(det, k, 16), np.zeros(16))
 
 
 def test_element_rejects_k_above_n():
@@ -50,7 +50,7 @@ def test_element_rejects_k_above_n():
 @pytest.mark.parametrize("n,eta", [(1, 0.25), (4, 0.5), (16, 0.95), (64, 1.0)])
 def test_completeness(n, eta):
     det = DetectorConfig(n, eta)
-    total = sum(click_povm_element(det, k, 128).weights for k in range(n + 1))
+    total = sum(click_povm_element(det, k, 128) for k in range(n + 1))
     assert np.abs(total - 1.0).max() < 1e-10
 
 
@@ -151,17 +151,26 @@ def test_photoelectric_projector_at_unit_efficiency():
     el = photoelectric_element(1.0, 3, 16)
     expect = np.zeros(16)
     expect[3] = 1.0
-    assert np.array_equal(el.weights, expect)
+    assert np.array_equal(el, expect)
 
 
 def test_photoelectric_k0_matches_click_k0():
     pe = photoelectric_element(0.35, 0, 64)
     click = click_povm_element(DetectorConfig(7, 0.35), 0, 64)
-    assert np.allclose(pe.weights, click.weights, rtol=1e-13)
+    assert np.allclose(pe, click, rtol=1e-13)
 
 
 def test_photoelectric_point_value():
-    assert photoelectric_element(0.5, 2, 8).weights[2] == pytest.approx(0.25)
+    assert photoelectric_element(0.5, 2, 8)[2] == pytest.approx(0.25)
+
+
+def test_elements_are_read_only_weight_vectors():
+    # the click element is a row of the cached kernel table, shared by callers
+    for weights in (click_povm_element(DetectorConfig(4, 0.5), 2, 16),
+                    photoelectric_element(0.5, 2, 16), photoelectric_element(1.0, 2, 16)):
+        assert weights.shape == (16,) and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
 
 def test_distance_zero_cases():
@@ -201,8 +210,8 @@ def test_distance_bounds_expectation_deviation():
     ]
     for k in range(1, 5):
         bound = operator_norm_distance(det, k, cutoff=256).value
-        click = click_povm_element(det, k, 96).weights
-        pe = photoelectric_element(det.eta, k, 96).weights
+        click = click_povm_element(det, k, 96)
+        pe = photoelectric_element(det.eta, k, 96)
         for state in states:
             p = photon_distribution(state)
             assert abs(p @ click - p @ pe) <= bound + 1e-12
@@ -246,7 +255,7 @@ def _exact_binomial_weight(m, k, eta):
 def test_photoelectric_weights_beyond_float_binomials():
     # C(m, 400) exceeds the float range from m = 1084 on
     eta, k, cutoff = 0.5, 400, 2048
-    weights = photoelectric_element(eta, k, cutoff).weights
+    weights = photoelectric_element(eta, k, cutoff)
     assert np.all(np.isfinite(weights)) and weights[:k].max() == 0.0
     for m in (400, 800, 1083, 1084, 1400, 2047):
         assert weights[m] == pytest.approx(_exact_binomial_weight(m, k, eta), rel=1e-11, abs=1e-300)

@@ -22,7 +22,6 @@ from clickcraft import (
     apply_two_mode_squeezer,
     condition_on_clicks,
     effective_sigma2,
-    herald,
     herald_tmsv_distribution,
     make_state,
     moment,
@@ -55,21 +54,12 @@ def amplify_spec(k1=0, k2=0) -> AmplifySpec:
 # --- heralding ---------------------------------------------------------------
 
 
-def test_herald_delegates_to_fock_conditioning():
-    det = DetectorConfig(8, 0.6)
-    state = make_state("phase_diffused_tmsv", 20, omega=0.3)
-    a = herald(state, det, 1)
-    b = condition_on_clicks(state, det, 1)
-    assert a.probability == b.probability
-    assert np.array_equal(a.state.entries, b.state.entries)
-
-
 def test_herald_closed_form_matches_fock():
     det = DetectorConfig(64, 0.95)
     state = make_state("phase_diffused_tmsv", 26, omega=0.25)
     for k in (0, 1, 4):
         closed = herald_tmsv_distribution(0.25, det, k)
-        oracle = photon_distribution(herald(state, det, k).state)
+        oracle = photon_distribution(condition_on_clicks(state, det, k).state)
         assert np.abs(closed.weights[:26] - oracle).max() < 1e-10
 
 
