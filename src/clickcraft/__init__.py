@@ -29,7 +29,6 @@ from .pfunc import (
     GaussianTerm,
     GridSpec,
     PhaseSpaceMixture,
-    click_factor_integrals,
     convolve_noise,
     evaluate_grid,
     husimi_smooth,

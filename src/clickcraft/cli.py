@@ -142,10 +142,13 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _require(config: dict, key: str) -> object:
-    if key not in config:
+def _require(node, key: str) -> object:
+    """Field ``key`` of a config node, which must be an object holding it."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"expected an object with the {key!r} field, got {node!r}")
+    if key not in node:
         raise ConfigError(f"config is missing the {key!r} field")
-    return config[key]
+    return node[key]
 
 
 def _integer(value, what: str) -> int:
@@ -349,7 +352,7 @@ def _conditioning_protocol(
     else:
         sq = (
             SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
-            if "mu" in optics
+            if isinstance(optics, dict) and "mu" in optics
             else SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
         )
         spec, run = AdditionSpec(sq, det, 0), add

@@ -36,8 +36,8 @@ import numpy as np
 from .dsymbol import NumericalError
 
 __all__ = [
-    "DeltaTerm", "GaussianTerm", "GridSpec", "PhaseSpaceMixture", "click_factor_integrals",
-    "convolve_noise", "evaluate_grid", "husimi_smooth", "husimi_unsmooth", "integral", "moment",
+    "DeltaTerm", "GaussianTerm", "GridSpec", "PhaseSpaceMixture", "convolve_noise",
+    "evaluate_grid", "husimi_smooth", "husimi_unsmooth", "integral", "moment",
     "multiply_click_factor", "scale_loss",
 ]
 
@@ -91,11 +91,11 @@ class PhaseSpaceMixture(NamedTuple):
     @classmethod
     def from_fields(cls, c, z, a, dc=(), dz=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
         """Mixture of these fields (equal lengths per term kind); ValueError
-        unless every inverse width is > 0 and every coefficient finite."""
+        unless every inverse width is finite and > 0 and every coefficient finite."""
         mixture = cls(tuple(c), tuple(z), tuple(a), tuple(dc), tuple(dz), dropped)
         for width in mixture.a:
-            if not width > 0:
-                raise ValueError(f"inverse width must be positive, got a={width}")
+            if not 0 < width < math.inf:
+                raise ValueError(f"inverse width must be positive and finite, got a={width}")
         if not (all(map(math.isfinite, mixture.c)) and all(map(math.isfinite, mixture.dc))):
             raise ValueError("coefficient must be finite")
         return mixture
@@ -184,7 +184,8 @@ def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> Phase
     of the given variance: (c, z, a) -> (c/d, gain z, a/d), d = gain^2 + a variance.
     Integral-preserving.  At variance 0 a delta moves to gain z, a positive
     variance makes it a Gaussian of inverse width 1/variance, and a negative one
-    (a deconvolution) rejects deltas and every d <= 0.
+    (a deconvolution) rejects deltas.  Every d <= 0 is rejected; valid inputs
+    (a > 0) reach it only in a deconvolution.
     """
     if variance < 0 and mixture.dc:
         raise ValueError("the smoothed representation cannot carry delta terms")
@@ -192,10 +193,10 @@ def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> Phase
     for c, z, a in zip(mixture.c, mixture.z, mixture.a):
         # width gain^2/a from amplification, plus the kernel variance
         denom = gain * gain + a * variance
-        if denom <= 0 and variance < 0:
-            raise ValueError("delta-shaped contribution: a conditioned term has collapsed to zero "
-                             "width (unit-efficiency conditioning of a coherent input); the P "
-                             "function is no longer a regular Gaussian mixture")
+        if denom <= 0:
+            raise ValueError(f"inverse width a={a} gives d = {denom} <= 0: a delta-shaped or "
+                             "negative-width term (as from unit-efficiency conditioning of a "
+                             "coherent input)")
         cs.append(c / denom)
         zs.append(gain * z)
         widths.append(a / denom)
@@ -266,24 +267,6 @@ def _click_factor_value(eta_eff: float, n_diodes: int, k: int, abs2: float) -> f
     return math.comb(n_diodes, k) * e ** (n_diodes - k) * (1.0 - e) ** k
 
 
-def _click_expansion(eta_eff: float, n_diodes: int, k: int) -> list[tuple[int, float]]:
-    """(signed binomial coefficient, exponent) of each term j = 0..k of the
-    expanded k-click factor; the exponent does not depend on k."""
-    if eta_eff < 0:
-        raise ValueError(f"effective efficiency must be >= 0, got {eta_eff}")
-    if n_diodes < 1:
-        raise ValueError(f"need at least one diode, got N={n_diodes}")
-    if not 0 <= k <= n_diodes:
-        raise ValueError(f"click number k={k} outside 0..{n_diodes}")
-    # C(N,k) C(k,j) (-1)^(k-j), stepped exactly in integers from j to j + 1
-    coeff = math.comb(n_diodes, k) * (-1 if k & 1 else 1)
-    expansion = []
-    for j in range(k + 1):
-        expansion.append((coeff, eta_eff * (1.0 - j / n_diodes)))
-        coeff = -coeff * (k - j) // (j + 1)
-    return expansion
-
-
 def multiply_click_factor(
     mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int, k: int
 ) -> PhaseSpaceMixture:
@@ -293,58 +276,41 @@ def multiply_click_factor(
     k-th power is expanded binomially into k+1 exponentials
     ``C(N,k) C(k,j) (-1)^(k-j) exp(-eta_eff (1 - j/N) |alpha|^2)`` and each
     product of Gaussians is completed to a Gaussian again, so the term count
-    multiplies by (k+1) before the result is ``pruned``.
+    multiplies by (k+1) before the result is ``pruned``.  NumericalError where
+    the factor's binomial coefficients leave the float range.
     """
-    expansion = _click_expansion(eta_eff, n_diodes, k)
+    if eta_eff < 0:
+        raise ValueError(f"effective efficiency must be >= 0, got {eta_eff}")
+    if n_diodes < 1:
+        raise ValueError(f"need at least one diode, got N={n_diodes}")
+    if not 0 <= k <= n_diodes:
+        raise ValueError(f"click number k={k} outside 0..{n_diodes}")
     if eta_eff == 0.0:
         # no conditioning power: factor is 1 for k = 0 and 0 for k >= 1
         return mixture if k == 0 else PhaseSpaceMixture(dropped=mixture.dropped)
+    # (C(N,k) C(k,j) (-1)^(k-j), exponent) of each term j, the coefficient
+    # stepped exactly in integers from j to j + 1
+    coeff, expansion = math.comb(n_diodes, k) * (-1 if k & 1 else 1), []
+    for j in range(k + 1):
+        expansion.append((coeff, eta_eff * (1.0 - j / n_diodes)))
+        coeff = -coeff * (k - j) // (j + 1)
     cs, zs, widths = [], [], []
-    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
-        abs2 = abs(z) ** 2
-        for coeff, gexp in expansion:
-            # a zero exponent keeps the Gaussian: x * 1.0 and a + 0.0 are exact
-            anew = a + gexp
-            cs.append(coeff * c * (math.exp(-a * gexp * abs2 / anew) if gexp else 1.0))
-            zs.append((a / anew) * z if gexp else z)
-            widths.append(anew)
-    dc = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
-          for c, z in zip(mixture.dc, mixture.dz)]
+    try:
+        for c, z, a in zip(mixture.c, mixture.z, mixture.a):
+            abs2 = abs(z) ** 2
+            for coeff, gexp in expansion:
+                # a zero exponent keeps the Gaussian: x * 1.0 and a + 0.0 are exact
+                anew = a + gexp
+                cs.append(coeff * c * (math.exp(-a * gexp * abs2 / anew) if gexp else 1.0))
+                zs.append((a / anew) * z if gexp else z)
+                widths.append(anew)
+        dc = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
+              for c, z in zip(mixture.dc, mixture.dz)]
+    except OverflowError as exc:  # an integer coefficient, or |z|^2, past the float range
+        raise NumericalError(f"the {k}-click factor of N={n_diodes} leaves the float range") from exc
+    except ZeroDivisionError as exc:  # a + gexp == 0 needs an inverse width a <= 0
+        raise ValueError("inverse width must be positive, got a = -eta_eff (1 - j/N)") from exc
     return PhaseSpaceMixture.from_fields(cs, zs, widths, dc, mixture.dz, mixture.dropped).pruned()
-
-
-def click_factor_integrals(mixture: PhaseSpaceMixture, eta_eff: float, n_diodes: int) -> list[float]:
-    """``integral(multiply_click_factor(mixture, eta_eff, n_diodes, k))`` for
-    k = 0..N, bit for bit, without building terms: each Gaussian's product
-    with exponential j is completed once for all k >= j, and the weights take
-    the IEEE operations, pruning cut and correctly rounded sum of the terms."""
-    exponents = [gexp for _, gexp in _click_expansion(eta_eff, n_diodes, n_diodes)]
-    if eta_eff == 0.0:
-        return [integral(mixture)] + [0.0] * n_diodes
-    # per term j, (c, exp factor) of each Gaussian (a zero exponent leaves the
-    # Gaussian as it is), and the completed widths in the same term order
-    products = [
-        [(c, math.exp(-a * gexp * abs(z) ** 2 / (a + gexp)) if gexp else 1.0)
-         for c, z, a in zip(mixture.c, mixture.z, mixture.a)]
-        for gexp in exponents
-    ]
-    widths = [a + gexp for gexp in exponents for a in mixture.a]
-    rows = []
-    for k in range(n_diodes + 1):
-        pairs = zip(_click_expansion(eta_eff, n_diodes, k), products)
-        cs = [coeff * c * e for (coeff, _), row in pairs for c, e in row]
-        deltas = [c * _click_factor_value(eta_eff, n_diodes, k, abs(z) ** 2)
-                  for c, z in zip(mixture.dc, mixture.dz)]
-        if not (all(map(math.isfinite, cs)) and all(map(math.isfinite, deltas))):
-            raise ValueError("coefficient must be finite")
-        rows.append([c * math.pi / anew for c, anew in zip(cs, widths)] + deltas)
-    if not all(math.isfinite(sum(map(abs, weights))) for weights in rows):
-        raise NumericalError("the absolute integral of a conditioned mixture is not finite")
-    scales = [math.fsum(map(abs, weights)) for weights in rows]
-    return [
-        math.fsum([w for w in weights if abs(w) > PRUNE_RELATIVE * scale] if scale else weights)
-        for weights, scale in zip(rows, scales)
-    ]
 
 
 def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:

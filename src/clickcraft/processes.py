@@ -42,7 +42,6 @@ from .fock import (
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
     PhaseSpaceMixture,
-    click_factor_integrals,
     convolve_noise,
     husimi_smooth,
     husimi_unsmooth,
@@ -303,16 +302,16 @@ def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:
     """Joint probabilities of every (k1, k2) click pair for a coherent input.
 
     Entry [k1, k2] is the trace of the (k1, k2)-conditioned output; the whole
-    (N1+1) x (N2+1) table sums to one.  A row sums the subtraction's term
-    weights of every k2 at once, with the bits of ``subtract`` cell by cell.
+    (N1+1) x (N2+1) table sums to one.  A row runs the addition and the loss
+    once, and each cell is what ``subtract`` makes of them.
     """
     p_in = PhaseSpaceMixture.coherent(complex(beta))
     rows = []
     for k1 in range(spec.add.det.N + 1):
         lost = scale_loss(add(p_in, replace(spec.add, k=k1)).state, spec.sub.bs.t)
-        integrals = click_factor_integrals(lost, spec.sub.eta_eff, spec.sub.det.N)
-        # each cell through ProcessOutcome's range check, as from ``subtract``
-        rows.append([ProcessOutcome(None, p).probability for p in integrals])
+        outs = (multiply_click_factor(lost, spec.sub.eta_eff, spec.sub.det.N, k2)
+                for k2 in range(spec.sub.det.N + 1))
+        rows.append([ProcessOutcome(out, integral(out)).probability for out in outs])
     return np.array(rows)
 
 

@@ -101,6 +101,16 @@ def test_cancellation_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "probability" in err
 
 
+def test_click_factor_past_float_range_is_numerical_failure(tmp_path, capsys):
+    # C(1100, 550) ~ 1e329 is no float; this used to end in an OverflowError traceback
+    payload = {**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7},
+               "detector": {"N": 1100, "eta": 0.5}, "clicks": [550]}
+    out = tmp_path / "out"
+    assert main(["subtract", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(out.glob("terms_*"))
+
+
 def test_clickstats_vacuum(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -511,6 +521,28 @@ def test_grid_for_protocol_without_p_function_is_parse_error(tmp_path, capsys, p
         assert main(argv + ["--out", str(out), "--manifest"]) == 1
         assert "takes no grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+# each used to end in a TypeError traceback: ``key in node`` on text is a
+# substring test, and indexing text or a list by a key fails
+NON_OBJECT_NODES = {
+    "clickstats_input": {**FOCK_CLICKSTATS_CONFIG, "input": "kind"},
+    "herald_input": {**HERALD_CONFIG, "input": "kind"},
+    "subtract_optics": {**ADD_CONFIG, "protocol": "subtract", "optics": "t"},
+    "add_optics_text": {**ADD_CONFIG, "optics": "mu"},
+    "add_optics_list": {**ADD_CONFIG, "optics": ["mu"]},
+    "amplify_addition": {**json.loads((CONFIGS / "table1.json").read_text()), "addition": "optics"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_OBJECT_NODES))
+def test_non_object_config_node_is_parse_error(tmp_path, capsys, case):
+    payload = NON_OBJECT_NODES[case]
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["squeezed", "phase_diffused_tmsv", ["fock"]], ids=["unknown", "two_mode", "list"])

@@ -20,7 +20,6 @@ from clickcraft import (
     SubtractionSpec,
     add,
     amplify_closed_form,
-    click_factor_integrals,
     convolve_noise,
     evaluate_grid,
     husimi_smooth,
@@ -167,6 +166,12 @@ def test_click_factor_validation():
         multiply_click_factor(mix, -0.1, 4, 0)
     with pytest.raises(ValueError):
         multiply_click_factor(mix, 0.5, 4, 5)
+    with pytest.raises(ValueError, match="at least one diode"):
+        multiply_click_factor(mix, 0.5, 0, 0)
+    # finite inputs whose products pass the float range
+    huge = PhaseSpaceMixture.from_terms((GaussianTerm(1e308, 0.5 + 0j, 1.0),))
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        multiply_click_factor(huge, 0.5, 8, 4)
 
 
 # --- husimi smoothing pair --------------------------------------------------
@@ -450,39 +455,6 @@ def test_non_finite_inputs_rejected(build):
         build()
 
 
-def test_click_factor_integrals_bit_identical_to_built_terms():
-    rng = np.random.default_rng(20141118)
-    dropped_any = False
-    # eta_eff = 0 returns the mixture unpruned (k = 0) or nothing; k = N
-    # reaches j = N, where the exponent is 0
-    # a weight below the pruning cut that still moves the rounded sum
-    edge = PhaseSpaceMixture.from_terms(
-        (GaussianTerm(1.0, 0j, math.pi), GaussianTerm(3e-16, 0.5 + 0j, math.pi))
-    )
-    for n, eta_eff in [(1, 0.7), (4, 1.3), (8, 0.0), (8, 0.37), (16, 0.8), (24, 2.5)]:
-        mixtures = [_spread_mixture(rng, *sizes) for sizes in [(0, 2), (3, 0), (5, 2)]]
-        for mixture in mixtures + [edge]:
-            got = click_factor_integrals(mixture, eta_eff, n)
-            assert len(got) == n + 1
-            for k, value in enumerate(got):
-                built = multiply_click_factor(mixture, eta_eff, n, k)
-                dropped_any |= built.dropped > mixture.dropped
-                expect = integral(built)
-                assert _bits_complex(complex(value)) == _bits_complex(complex(expect)), (n, k)
-    assert dropped_any  # pruning removed terms somewhere
-
-
-def test_click_factor_integrals_errors_match_built_terms():
-    huge = PhaseSpaceMixture.from_terms((GaussianTerm(1e308, 0.5 + 0j, 1.0),))
-    with pytest.raises(ValueError, match="coefficient must be finite"):
-        multiply_click_factor(huge, 0.5, 8, 4)
-    with pytest.raises(ValueError, match="coefficient must be finite"):
-        click_factor_integrals(huge, 0.5, 8)
-    for args in ((-0.1, 4), (0.5, 0)):
-        with pytest.raises(ValueError):
-            click_factor_integrals(random_mixture(), *args)
-
-
 # --- flat-field maps against per-term references --------------------------------
 
 
@@ -641,9 +613,6 @@ def test_invalid_gaussian_rejected_by_from_terms_and_every_map(fields, message):
     for apply in MAPS.values():
         with pytest.raises(ValueError, match=message):
             apply(unchecked)
-    if message.startswith("coefficient"):
-        with pytest.raises(ValueError, match=message):
-            click_factor_integrals(unchecked, 0.5, 4)
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
@@ -656,8 +625,21 @@ def test_invalid_delta_rejected_by_from_terms_and_every_map(c):
         match = "delta terms" if name == "husimi_unsmooth" else "coefficient must be finite"
         with pytest.raises(ValueError, match=match):
             apply(unchecked)
-    with pytest.raises(ValueError, match="coefficient must be finite"):
-        click_factor_integrals(unchecked, 0.5, 4)
+
+
+@pytest.mark.parametrize("a", [-0.5, -1.0, -2.0, -4.0, math.inf])
+def test_negative_or_infinite_width_rejected_by_from_fields_and_every_map(a):
+    # d = gain^2 + a variance <= 0 used to pass the positive-variance maps:
+    # husimi_smooth turned a = -2 into c = -1, a = 2 and raised
+    # ZeroDivisionError at a = -1, convolve_noise turned a = -4 into a = 12.5;
+    # multiply_click_factor divided by a + eta_eff = 0 at a = -0.5, and
+    # from_fields accepted a = inf
+    with pytest.raises(ValueError, match="inverse width"):
+        PhaseSpaceMixture.from_fields((1.0,), (0.1j,), (a,))
+    unchecked = PhaseSpaceMixture(c=(1.0,), z=(0.1j,), a=(a,))
+    for apply in MAPS.values():
+        with pytest.raises(ValueError, match="inverse width"):
+            apply(unchecked)
 
 
 def test_closed_form_amplifier_rejects_non_finite_coefficients():
@@ -683,9 +665,3 @@ def test_overflowing_weights_raise_instead_of_pruning_to_nothing(huge):
     spec = SubtractionSpec(BeamSplitterConfig(0.9999), DetectorConfig(8, 0.5), 0)
     with pytest.raises(NumericalError, match="not finite"):
         subtract(huge, spec)
-
-
-@pytest.mark.parametrize("huge", HUGE_MIXTURES.values(), ids=HUGE_MIXTURES.keys())
-def test_click_factor_integrals_overflowing_weights_raise(huge):
-    with pytest.raises(NumericalError, match="not finite"):
-        click_factor_integrals(huge, 0.5, 1)

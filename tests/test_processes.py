@@ -362,6 +362,17 @@ def test_probability_table_cancellation_is_numerical_error():
         probability_table(spec, 1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("p_in", [PhaseSpaceMixture.coherent(0.5), PhaseSpaceMixture.thermal(0.5)],
+                         ids=["coherent", "thermal"])
+def test_click_factor_past_float_range_is_numerical_error(p_in):
+    # C(1100, 550) ~ 1e329 is no float; it used to escape as an OverflowError
+    det = DetectorConfig(1100, 0.5)
+    with pytest.raises(NumericalError, match="float range"):
+        subtract(p_in, SubtractionSpec(BeamSplitterConfig(0.7), det, 550))
+    with pytest.raises(NumericalError, match="float range"):
+        add(p_in, AdditionSpec(SqueezerConfig.from_mu(1.2), det, 550))
+
+
 def test_amplify_negativity_grows_with_addition_clicks():
     # conditioned outputs develop negative fringes once k1 >= 1
     r = np.linspace(0, 4, 2001).astype(complex)
