@@ -5,14 +5,17 @@ composition into a click-conditioned amplifier, with closed phase-space forms
 cross-validated by a truncated-Fock-space oracle.
 """
 
-from .dsymbol import DSymbolParams, DSymbolTable, d_direct, d_exact, d_recursive
-from .fock import (
-    BeamSplitterConfig,
+from .dsymbol import (
     CutoffError,
-    DensityMatrix,
+    DSymbolParams,
+    DSymbolTable,
     NumericalError,
-    ProcessOutcome,
-    SqueezerConfig,
+    d_direct,
+    d_exact,
+    d_recursive,
+)
+from .fock import (
+    DensityMatrix,
     TwoModeDensityMatrix,
     apply_beam_splitter,
     apply_two_mode_squeezer,
@@ -25,8 +28,6 @@ from .fock import (
     trace_out_detector_mode,
 )
 from .pfunc import (
-    DeltaTerm,
-    GaussianTerm,
     GridSpec,
     PhaseSpaceMixture,
     convolve_noise,
@@ -51,7 +52,10 @@ from .povm import (
 from .processes import (
     AdditionSpec,
     AmplifySpec,
+    BeamSplitterConfig,
     HeraldedDistribution,
+    ProcessOutcome,
+    SqueezerConfig,
     SubtractionSpec,
     add,
     amplify,

@@ -35,18 +35,15 @@ import numpy as np
 
 from . import __version__
 from .dsymbol import NumericalError
-from .fock import (
-    BeamSplitterConfig,
-    ProcessOutcome,
-    SqueezerConfig,
-    make_state,
-    photon_distribution,
-)
+from .fock import make_state, photon_distribution
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
 from .povm import DetectorConfig, click_statistics, operator_norm_distance
 from .processes import (
     AdditionSpec,
     AmplifySpec,
+    BeamSplitterConfig,
+    ProcessOutcome,
+    SqueezerConfig,
     SubtractionSpec,
     add,
     herald_tmsv_distribution,
@@ -54,7 +51,6 @@ from .processes import (
     subtract,
 )
 
-PROTOCOLS = ("herald", "subtract", "add", "amplify", "clickstats", "errorbound")
 # a photon distribution, or a one-mode state of ``make_state``
 CLICKSTATS_KINDS = ("photon_distribution", "vacuum", "fock", "coherent", "thermal",
                     "displaced_thermal")
@@ -484,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="protocol", required=True)
-    for name in PROTOCOLS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON parameter file (schema 1)")
         p.add_argument("--out", default=".", help="output directory")

@@ -31,14 +31,12 @@ import numpy as np
 
 from .dsymbol import CutoffError, NumericalError
 from .povm import DetectorConfig, click_povm_element
+from .processes import DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome, SqueezerConfig
 
 __all__ = [
-    "BeamSplitterConfig",
     "CutoffError",
     "DensityMatrix",
     "NumericalError",
-    "ProcessOutcome",
-    "SqueezerConfig",
     "TwoModeDensityMatrix",
     "apply_beam_splitter",
     "apply_two_mode_squeezer",
@@ -51,48 +49,7 @@ __all__ = [
     "trace_out_detector_mode",
 ]
 
-DEFAULT_TAIL_TOL = 1e-10
 UNITARY_TAIL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BeamSplitterConfig:
-    """Beam splitter with real amplitude transmission t in (0, 1); r = sqrt(1-t^2)."""
-
-    t: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"transmission must lie strictly in (0, 1), got t={self.t}")
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(1.0 - self.t * self.t)
-
-
-@dataclass(frozen=True)
-class SqueezerConfig:
-    """Two-mode squeezer of strength xi >= 0; mu = cosh(xi), nu = sinh(xi)."""
-
-    xi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.xi < math.inf:
-            raise ValueError(f"squeezing strength must be finite and >= 0, got xi={self.xi}")
-
-    @classmethod
-    def from_mu(cls, mu: float) -> "SqueezerConfig":
-        if not 1.0 <= mu < math.inf:
-            raise ValueError(f"gain must be finite with mu >= 1, got {mu}")
-        return cls(math.acosh(mu))
-
-    @property
-    def mu(self) -> float:
-        return math.cosh(self.xi)
-
-    @property
-    def nu(self) -> float:
-        return math.sinh(self.xi)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -169,22 +126,6 @@ class TwoModeDensityMatrix:
             raise ValueError(f"negative eigenvalue {evals.min()}")
         if not 0.0 < self.trace <= 1.0 + 1e-12:
             raise ValueError(f"trace {self.trace} outside (0, 1]")
-
-
-@dataclass(frozen=True)
-class ProcessOutcome:
-    """Unnormalized conditional state plus its trace = probability of the event.
-
-    Rare click patterns can land a hair below zero through roundoff of the
-    alternating closed forms; anything beyond 1e-9 is rejected.
-    """
-
-    state: object  # DensityMatrix or PhaseSpaceMixture
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not -1e-9 <= self.probability <= 1.0 + 1e-9:
-            raise NumericalError(f"probability {self.probability} outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ import numpy as np
 from .dsymbol import NumericalError
 
 __all__ = [
-    "DeltaTerm", "GaussianTerm", "GridSpec", "PhaseSpaceMixture", "convolve_noise",
-    "evaluate_grid", "husimi_smooth", "husimi_unsmooth", "integral", "moment",
-    "multiply_click_factor", "scale_loss",
+    "GridSpec", "PhaseSpaceMixture", "convolve_noise", "evaluate_grid", "husimi_smooth",
+    "husimi_unsmooth", "integral", "moment", "multiply_click_factor", "scale_loss",
 ]
 
 PRUNE_RELATIVE = 1e-15
@@ -52,33 +51,13 @@ _CONTRACTIONS = {
 }
 
 
-class GaussianTerm(NamedTuple):
-    """View of one isotropic Gaussian: value at alpha is ``c * exp(-a*|alpha - z|^2)``."""
-
-    c: float
-    z: complex
-    a: float  # inverse width, > 0
-
-    @property
-    def weight(self) -> float:
-        """Contribution to the integral: c * pi / a."""
-        return self.c * math.pi / self.a
-
-
-class DeltaTerm(NamedTuple):
-    """View of one exact coherent component: ``c * delta^2(alpha - z)``."""
-
-    c: float
-    z: complex
-
-
 class PhaseSpaceMixture(NamedTuple):
     """Finite mixture of Gaussian and delta terms; immutable.
 
     Gaussian i is ``(c[i], z[i], a[i])`` and delta i is ``(dc[i], dz[i])``;
     ``dropped`` accumulates the absolute integral mass removed by pruning of
     negligible terms across the maps that multiplied term counts.  The plain
-    constructor checks nothing; ``from_fields``, ``from_terms`` and the maps do.
+    constructor checks nothing; ``from_fields`` and the maps do.
     """
 
     c: tuple[float, ...] = ()
@@ -99,13 +78,6 @@ class PhaseSpaceMixture(NamedTuple):
         if not (all(map(math.isfinite, mixture.c)) and all(map(math.isfinite, mixture.dc))):
             raise ValueError("coefficient must be finite")
         return mixture
-
-    @classmethod
-    def from_terms(cls, gaussians=(), deltas=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
-        """Checked mixture of terms with the fields of ``GaussianTerm`` and ``DeltaTerm``."""
-        g, d = tuple(gaussians), tuple(deltas)
-        fields = [[getattr(t, f) for t in terms] for terms, f in zip((g, g, g, d, d), "czacz")]
-        return cls.from_fields(*fields, dropped)
 
     @classmethod
     def vacuum(cls) -> "PhaseSpaceMixture":
@@ -131,12 +103,10 @@ class PhaseSpaceMixture(NamedTuple):
         return cls.from_fields((1.0 / (math.pi * nbar),), (alpha0,), (1.0 / nbar,))
 
     @property
-    def gaussians(self) -> tuple[GaussianTerm, ...]:
-        return tuple(map(GaussianTerm, self.c, self.z, self.a))
-
-    @property
-    def deltas(self) -> tuple[DeltaTerm, ...]:
-        return tuple(map(DeltaTerm, self.dc, self.dz))
+    def gaussians(self) -> tuple[tuple[float, complex, float], ...]:
+        """(c, z, a) of each Gaussian; kept only because bench/tracing.py
+        counts terms with ``len(result.gaussians)``."""
+        return tuple(zip(self.c, self.z, self.a))
 
     def evaluate(self, alpha: complex | np.ndarray) -> float | np.ndarray:
         """Regular (Gaussian) part of P at alpha; delta terms are distributions
@@ -316,20 +286,26 @@ def multiply_click_factor(
 def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:
     """Normally ordered moment <a^dag^p a^q> = integral P(alpha) conj(alpha)^p alpha^q.
 
-    Closed form; supported up to total order p + q <= 6.
+    Closed form; supported up to total order p + q <= 6.  NumericalError
+    where the result leaves the float range, as ``integral`` does.
     """
     contractions = _CONTRACTIONS.get((p, q))
     if contractions is None:
         raise ValueError(f"moment orders must be >= 0 with p+q <= {MAX_MOMENT_ORDER}, got ({p}, {q})")
     total = 0j
-    for c, z in zip(mixture.dc, mixture.dz):
-        total += c * z.conjugate() ** p * z**q
-    for c, z, a in zip(mixture.c, mixture.z, mixture.a):
-        zc = z.conjugate()
-        acc = 0j
-        for count, minus_i, p_i, q_i in contractions:
-            acc += count * a**minus_i * zc**p_i * z**q_i
-        total += c * math.pi / a * acc
+    try:
+        for c, z in zip(mixture.dc, mixture.dz):
+            total += c * z.conjugate() ** p * z**q
+        for c, z, a in zip(mixture.c, mixture.z, mixture.a):
+            zc = z.conjugate()
+            acc = 0j
+            for count, minus_i, p_i, q_i in contractions:
+                acc += count * a**minus_i * zc**p_i * z**q_i
+            total += c * math.pi / a * acc
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            raise OverflowError
+    except OverflowError as exc:  # a power of a centre, or the sum, past the float range
+        raise NumericalError(f"the ({p}, {q}) moment of the mixture leaves the float range") from exc
     return total
 
 
@@ -365,7 +341,7 @@ def evaluate_grid(mixture: PhaseSpaceMixture, grid: GridSpec) -> np.ndarray:
     """Evaluate the regular part of P on the grid; shape (n_im, n_re).
 
     Delta terms are not rasterized; report them separately from
-    ``mixture.deltas``.  The per-cell summation order is fixed (term order),
+    ``mixture.dc`` and ``mixture.dz``.  The per-cell summation order is fixed (term order),
     so the result is deterministic.
     """
     re, im = grid.centers()

@@ -30,15 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    BeamSplitterConfig,
-    CutoffError,
-    ProcessOutcome,
-    SqueezerConfig,
-    # not called here: bench/tracing.py patches clickcraft.processes.condition_on_clicks
-    condition_on_clicks,  # noqa: F401
-)
+from .dsymbol import CutoffError, NumericalError
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
     PhaseSpaceMixture,
@@ -53,7 +45,10 @@ from .pfunc import (
 __all__ = [
     "AdditionSpec",
     "AmplifySpec",
+    "BeamSplitterConfig",
     "HeraldedDistribution",
+    "ProcessOutcome",
+    "SqueezerConfig",
     "SubtractionSpec",
     "add",
     "amplify",
@@ -66,6 +61,76 @@ __all__ = [
     "probability_table",
     "subtract",
 ]
+
+
+# tail probability a cutoff may leave outside the truncated basis
+DEFAULT_TAIL_TOL = 1e-10
+
+
+def __getattr__(name: str):
+    # bench/tracing.py patches clickcraft.processes.condition_on_clicks by
+    # attribute; fock imports this module, so the oracle resolves on first use
+    if name == "condition_on_clicks":
+        from .fock import condition_on_clicks
+
+        return condition_on_clicks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@dataclass(frozen=True)
+class BeamSplitterConfig:
+    """Beam splitter with real amplitude transmission t in (0, 1); r = sqrt(1-t^2)."""
+
+    t: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.t < 1.0:
+            raise ValueError(f"transmission must lie strictly in (0, 1), got t={self.t}")
+
+    @property
+    def r(self) -> float:
+        return math.sqrt(1.0 - self.t * self.t)
+
+
+@dataclass(frozen=True)
+class SqueezerConfig:
+    """Two-mode squeezer of strength xi >= 0; mu = cosh(xi), nu = sinh(xi)."""
+
+    xi: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"squeezing strength must be finite and >= 0, got xi={self.xi}")
+
+    @classmethod
+    def from_mu(cls, mu: float) -> "SqueezerConfig":
+        if not 1.0 <= mu < math.inf:
+            raise ValueError(f"gain must be finite with mu >= 1, got {mu}")
+        return cls(math.acosh(mu))
+
+    @property
+    def mu(self) -> float:
+        return math.cosh(self.xi)
+
+    @property
+    def nu(self) -> float:
+        return math.sinh(self.xi)
+
+
+@dataclass(frozen=True)
+class ProcessOutcome:
+    """Unnormalized conditional state plus its trace = probability of the event.
+
+    Rare click patterns can land a hair below zero through roundoff of the
+    alternating closed forms; anything beyond 1e-9 is rejected.
+    """
+
+    state: object  # PhaseSpaceMixture, or a fock.DensityMatrix
+    probability: float
+
+    def __post_init__(self) -> None:
+        if not -1e-9 <= self.probability <= 1.0 + 1e-9:
+            raise NumericalError(f"probability {self.probability} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -220,25 +285,28 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
     b2 = abs(beta) ** 2
 
     cs, zs, widths = [], [], []
-    for j1 in range(k1 + 1):
-        den = nu**2 * (1.0 - eta1 * (1.0 - j1 / n1))
-        lam1 = mu / (t * den)
-        lam0 = 1.0 + 1.0 / den
-        for j2 in range(k2 + 1):
-            f = (
-                math.comb(n1, k1)
-                * math.comb(n2, k2)
-                * math.comb(k1, j1)
-                * math.comb(k2, j2)
-                * (-1 if (k1 - j1 + k2 - j2) & 1 else 1)
-                / (t**2 * den)
-            )
-            lam2 = (1.0 + eta1 * nu**2 * (1.0 - j1 / n1)) / (t**2 * den) + (
-                eta2 * r**2 * (1.0 - j2 / n2) / t**2
-            )
-            cs.append((f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2))
-            zs.append((lam1 / lam2) * beta)
-            widths.append(lam2)
+    try:
+        for j1 in range(k1 + 1):
+            den = nu**2 * (1.0 - eta1 * (1.0 - j1 / n1))
+            lam1 = mu / (t * den)
+            lam0 = 1.0 + 1.0 / den
+            for j2 in range(k2 + 1):
+                f = (
+                    math.comb(n1, k1)
+                    * math.comb(n2, k2)
+                    * math.comb(k1, j1)
+                    * math.comb(k2, j2)
+                    * (-1 if (k1 - j1 + k2 - j2) & 1 else 1)
+                    / (t**2 * den)
+                )
+                lam2 = (1.0 + eta1 * nu**2 * (1.0 - j1 / n1)) / (t**2 * den) + (
+                    eta2 * r**2 * (1.0 - j2 / n2) / t**2
+                )
+                cs.append((f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2))
+                zs.append((lam1 / lam2) * beta)
+                widths.append(lam2)
+    except OverflowError as exc:  # a binomial coefficient, or an exponential, past the float range
+        raise NumericalError(f"the ({k1}, {k2})-click closed form leaves the float range") from exc
     return PhaseSpaceMixture.from_fields(cs, zs, widths)
 
 
@@ -248,15 +316,17 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
 
 
 def _gamma_sum(n_diodes: int, k: int, gammas: np.ndarray, exponents: np.ndarray) -> float:
-    terms = [
-        math.comb(n_diodes, k)
-        * math.comb(k, j)
-        * (-1 if (k - j) & 1 else 1)
-        * math.exp(-exponents[j])
-        / gammas[j]
-        for j in range(k + 1)
-    ]
-    return math.fsum(terms)
+    try:
+        return math.fsum([
+            math.comb(n_diodes, k)
+            * math.comb(k, j)
+            * (-1 if (k - j) & 1 else 1)
+            * math.exp(-exponents[j])
+            / gammas[j]
+            for j in range(k + 1)
+        ])
+    except OverflowError as exc:  # a binomial coefficient past the float range
+        raise NumericalError(f"the {k}-click closed form of N={n_diodes} leaves the float range") from exc
 
 
 def probability_subtraction_displaced_thermal(

@@ -264,8 +264,8 @@ def test_criterion_5_sigma2_closed_form():
                 PhaseSpaceMixture.coherent(beta),
                 AdditionSpec(sq, DetectorConfig(16, eta), 0),
             )
-            (g,) = out.state.gaussians
-            worst = max(worst, abs(1.0 / g.a - effective_sigma2(sq, eta)))
+            (a,) = out.state.a
+            worst = max(worst, abs(1.0 / a - effective_sigma2(sq, eta)))
     ok = worst < 1e-10
     report(5, ok, f"zero-click output variance vs closed form on 5x5 grid, worst {worst:.2e}")
     assert worst < 1e-10

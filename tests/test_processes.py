@@ -1,10 +1,14 @@
 """Protocol tests: heralding, subtraction, addition, composed amplification."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clickcraft
+import clickcraft.fock
 from clickcraft import (
     AdditionSpec,
     AmplifySpec,
@@ -13,6 +17,7 @@ from clickcraft import (
     DetectorConfig,
     NumericalError,
     PhaseSpaceMixture,
+    ProcessOutcome,
     SqueezerConfig,
     SubtractionSpec,
     add,
@@ -134,9 +139,9 @@ def test_subtraction_coherent_no_click():
     beta = 0.9 + 0.2j
     spec = SubtractionSpec(BS07, DET16, 0)
     out = subtract(PhaseSpaceMixture.coherent(beta), spec)
-    (d,) = out.state.deltas
-    assert d.z == pytest.approx(BS07.t * beta)
-    assert d.c == pytest.approx(math.exp(-DET16.eta * BS07.r**2 * abs(beta) ** 2), rel=1e-13)
+    ((c, z),) = zip(out.state.dc, out.state.dz)
+    assert z == pytest.approx(BS07.t * beta)
+    assert c == pytest.approx(math.exp(-DET16.eta * BS07.r**2 * abs(beta) ** 2), rel=1e-13)
 
 
 def test_subtraction_vacuum_probabilities():
@@ -165,8 +170,8 @@ def test_subtraction_effective_efficiency():
 def test_addition_zero_click_variance_matches_sigma2():
     beta = 0.4 - 0.3j
     out = add(PhaseSpaceMixture.coherent(beta), AdditionSpec(SQ14, DET16, 0))
-    (g,) = out.state.gaussians
-    assert 1.0 / g.a == pytest.approx(effective_sigma2(SQ14, DET16.eta), rel=1e-12)
+    (a,) = out.state.a
+    assert 1.0 / a == pytest.approx(effective_sigma2(SQ14, DET16.eta), rel=1e-12)
     # the same number through the moment channel of the normalized output
     var = (
         moment(out.state, 1, 1) / out.probability
@@ -373,6 +378,24 @@ def test_click_factor_past_float_range_is_numerical_error(p_in):
         add(p_in, AdditionSpec(SqueezerConfig.from_mu(1.2), det, 550))
 
 
+DET1100 = DetectorConfig(1100, 0.5)
+CLOSED_FORMS_1100 = {
+    "subtraction": lambda: probability_subtraction_displaced_thermal(
+        0.5, 0.5, SubtractionSpec(BS07, DET1100, 550)),
+    "addition": lambda: probability_addition_displaced_thermal(
+        0.5, 0.5, AdditionSpec(SqueezerConfig.from_mu(1.2), DET1100, 550)),
+    "amplifier": lambda: amplify_closed_form(0.5, AmplifySpec(
+        AdditionSpec(SqueezerConfig.from_mu(1.2), DET1100, 550), SubtractionSpec(BS07, DET1100, 550))),
+}
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS_1100.values(), ids=CLOSED_FORMS_1100.keys())
+def test_closed_form_past_float_range_is_numerical_error(closed_form):
+    # C(1100, 550) ~ 1e329 is no float; the closed forms leaked an OverflowError
+    with pytest.raises(NumericalError, match="float range"):
+        closed_form()
+
+
 def test_amplify_negativity_grows_with_addition_clicks():
     # conditioned outputs develop negative fringes once k1 >= 1
     r = np.linspace(0, 4, 2001).astype(complex)
@@ -435,3 +458,36 @@ def test_spec_click_bounds():
         SubtractionSpec(BS07, DET16, 17)
     with pytest.raises(ValueError):
         AdditionSpec(SQ14, DET16, -1)
+
+
+# --- module structure ----------------------------------------------------------
+
+
+def _modules_named(node) -> set[str]:
+    """Every module an import statement may name: ``from .fock import x`` and
+    ``from . import fock`` both give ``.fock``."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    base = "." * node.level + (node.module or "")
+    sep = "" if base.endswith(".") else "."
+    return {base} | {base + sep + alias.name for alias in node.names}
+
+
+@pytest.mark.parametrize("module", ["dsymbol", "povm", "pfunc", "processes"])
+def test_production_modules_do_not_import_the_fock_oracle(module):
+    # statements outside function bodies run at import time
+    pending = list(ast.parse(Path(clickcraft.__file__).with_name(f"{module}.py").read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not {".fock", "clickcraft.fock"} & _modules_named(node), (module, node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_process_types_are_defined_by_processes():
+    for cls in (BeamSplitterConfig, SqueezerConfig, ProcessOutcome):
+        assert cls.__module__ == "clickcraft.processes"
+    # the oracle uses the same classes, not copies
+    assert clickcraft.fock.ProcessOutcome is clickcraft.ProcessOutcome
