@@ -2,7 +2,7 @@
 
 Heralded state preparation, multi-photon subtraction and addition, and their
 composition into a click-conditioned amplifier, with closed phase-space forms
-cross-validated by a truncated-Fock-space oracle.
+cross-checked by a truncated-Fock-space oracle.
 """
 
 from .dsymbol import (
@@ -23,7 +23,6 @@ from .fock import (
     make_state,
     normally_ordered_moment,
     photon_distribution,
-    suggest_cutoff,
     tensor_product,
     trace_out_detector_mode,
 )

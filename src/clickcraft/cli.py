@@ -183,10 +183,19 @@ def _complex_from(value, what: str) -> complex:
 
 
 def _detector_from(node) -> DetectorConfig:
-    if not isinstance(node, dict):
-        raise ConfigError("detector must be an object with fields N and eta")
     n_diodes = _integer(_require(node, "N"), "detector N")
     return DetectorConfig(n_diodes, _real(_require(node, "eta"), "detector eta"))
+
+
+def _squeezer_from(optics) -> SqueezerConfig:
+    """A pair source given by its gain ``mu`` or its squeezing strength ``xi``."""
+    if isinstance(optics, dict) and "mu" in optics:
+        return SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
+    return SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
+
+
+def _beam_splitter_from(optics) -> BeamSplitterConfig:
+    return BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
 
 
 def _mixture_from(node) -> PhaseSpaceMixture:
@@ -209,8 +218,6 @@ _GRID_FIELDS = ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im")
 
 
 def _grid_from(node) -> GridSpec:
-    if not isinstance(node, dict):
-        raise ConfigError("grid must be an object with extents and cell counts")
     values = [_require(node, key) for key in _GRID_FIELDS]
     extents = [_real(v, f"grid {key}") for v, key in zip(values[:4], _GRID_FIELDS)]
     counts = [_integer(v, f"grid {key}") for v, key in zip(values[4:], _GRID_FIELDS[4:])]
@@ -342,15 +349,11 @@ def _conditioning_protocol(
     det = _detector_from(_require(config, "detector"))
     optics = _require(config, "optics")
     if protocol == "subtract":
-        bs = BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
+        bs = _beam_splitter_from(optics)
         spec, run = SubtractionSpec(bs, det, 0), subtract
         resolved_optics = {"t": bs.t, "r": bs.r}
     else:
-        sq = (
-            SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
-            if isinstance(optics, dict) and "mu" in optics
-            else SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
-        )
+        sq = _squeezer_from(optics)
         spec, run = AdditionSpec(sq, det, 0), add
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
     clicks = _clicks_list(config.get("clicks"), det.N)
@@ -375,10 +378,8 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     beta = _complex_from(_require(inp, "alpha"), "alpha")
     add_node = _require(config, "addition")
     sub_node = _require(config, "subtraction")
-    mu = _require(_require(add_node, "optics"), "mu")
-    t = _require(_require(sub_node, "optics"), "t")
-    sq = SqueezerConfig.from_mu(_real(mu, "optics mu"))
-    bs = BeamSplitterConfig(_real(t, "optics t"))
+    sq = _squeezer_from(_require(add_node, "optics"))
+    bs = _beam_splitter_from(_require(sub_node, "optics"))
     det1 = _detector_from(_require(add_node, "detector"))
     det2 = _detector_from(_require(sub_node, "detector"))
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))

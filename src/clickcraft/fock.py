@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsymbol import CutoffError, NumericalError
+from .pfunc import check_displaced_thermal
 from .povm import DetectorConfig, click_povm_element
 from .processes import DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome, SqueezerConfig
 
@@ -44,7 +45,6 @@ __all__ = [
     "make_state",
     "normally_ordered_moment",
     "photon_distribution",
-    "suggest_cutoff",
     "tensor_product",
     "trace_out_detector_mode",
 ]
@@ -71,17 +71,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def validate(self) -> None:
-        """Check Hermiticity, positivity and trace bounds; raise on violation."""
-        h = np.abs(self.entries - self.entries.conj().T).max()
-        if h > 1e-12:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {h}")
-        evals = np.linalg.eigvalsh(self.entries)
-        if evals.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {evals.min()}")
-        if not 0.0 < self.trace <= 1.0 + 1e-12:
-            raise ValueError(f"trace {self.trace} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -115,18 +104,6 @@ class TwoModeDensityMatrix:
         x = self.kets.transpose(2, 1, 0)  # (dB, dA, n)
         return _readonly((x * self.weights) @ x.conj().transpose(0, 2, 1))
 
-    def validate(self) -> None:
-        if not np.isrealobj(self.weights):
-            raise ValueError("not Hermitian: ensemble weights must be real")
-        d_a, d_b = self.cutoffs
-        # rho = Q (R W R^dag) Q^dag with kets^T = Q R: same non-zero spectrum
-        _, r = np.linalg.qr(self.kets.reshape(-1, d_a * d_b).T)
-        evals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
-        if evals.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {evals.min()}")
-        if not 0.0 < self.trace <= 1.0 + 1e-12:
-            raise ValueError(f"trace {self.trace} outside (0, 1]")
-
 
 # ---------------------------------------------------------------------------
 # state constructors
@@ -146,14 +123,6 @@ def _expm_tridiagonal(s: np.ndarray) -> np.ndarray:
     return ((v * np.exp(-1j * w)) @ v.T) * np.outer(phase, phase.conj())
 
 
-def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
-    amps = np.zeros(d, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, d):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
-
-
 def make_state(
     kind: str,
     cutoff: int,
@@ -171,41 +140,40 @@ def make_state(
     (alpha, nbar) and the two-mode ``phase_diffused_tmsv`` (pair-correlation
     omega, diagonal (1-omega) sum omega^n |n,n><n,n|).
 
-    Raises CutoffError when the truncated trace would fall below 1 - tail_tol.
+    Raises CutoffError when the truncated trace would fall below 1 - tail_tol,
+    and ValueError for a non-finite alpha or an nbar that is not finite and
+    >= 0.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
     d = cutoff
-    if kind == "vacuum":
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-        return DensityMatrix(d, _readonly(rho))
-    if kind == "fock":
+    if kind in ("vacuum", "fock"):
+        n = n if kind == "fock" else 0
         if not 0 <= n < d:
             raise CutoffError(f"|{n}> needs cutoff > {n}, got {d}")
         rho = np.zeros((d, d), dtype=complex)
         rho[n, n] = 1.0
         return DensityMatrix(d, _readonly(rho))
+    if kind in ("coherent", "thermal", "displaced_thermal"):
+        check_displaced_thermal(alpha, nbar)
     if kind == "coherent":
-        amps = _coherent_amplitudes(alpha, d)
+        amps = np.zeros(d, dtype=complex)
+        amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for m in range(1, d):
+            amps[m] = amps[m - 1] * alpha / math.sqrt(m)
         norm = float(np.vdot(amps, amps).real)
         if norm < 1.0 - tail_tol:
             raise CutoffError(
                 f"coherent |alpha|={abs(alpha):.4g} keeps only {norm:.12f} of its "
-                f"weight below cutoff {d}; try {suggest_cutoff('coherent', alpha=alpha, tail_tol=tail_tol)}"
+                f"weight below cutoff {d}"
             )
         return DensityMatrix(d, _readonly(np.outer(amps, amps.conj())))
     if kind == "thermal":
-        if nbar < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {nbar}")
         if nbar == 0:
-            return make_state("vacuum", d)
+            return make_state("fock", d)
         q = nbar / (nbar + 1.0)
         if q**d > tail_tol:
-            raise CutoffError(
-                f"thermal nbar={nbar} has tail {q ** d:.3g} at cutoff {d}; "
-                f"try {suggest_cutoff('thermal', nbar=nbar, tail_tol=tail_tol)}"
-            )
+            raise CutoffError(f"thermal nbar={nbar} has tail {q ** d:.3g} at cutoff {d}")
         probs = (1.0 - q) * q ** np.arange(d)
         return DensityMatrix(d, _readonly(np.diag(probs).astype(complex)))
     if kind == "displaced_thermal":
@@ -240,46 +208,6 @@ def make_state(
         weights = (1.0 - omega) * omega**m
         return TwoModeDensityMatrix((d, d), _readonly(weights), _readonly(kets))
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def suggest_cutoff(
-    kind: str,
-    *,
-    alpha: complex = 0j,
-    nbar: float = 0.0,
-    omega: float = 0.0,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    squeezer: SqueezerConfig | None = None,
-) -> int:
-    """Smallest cutoff holding the state's tail below tail_tol, with a x1.5
-    headroom factor when a squeezer will amplify the state afterwards."""
-    if kind == "coherent":
-        lam = abs(alpha) ** 2
-        d = max(8, int(lam + 12.0 * math.sqrt(lam + 1.0)))
-        amps = _coherent_amplitudes(alpha, d)
-        while float(np.vdot(amps, amps).real) < 1.0 - tail_tol:
-            d = int(d * 1.5) + 1
-            amps = _coherent_amplitudes(alpha, d)
-        base_nbar = lam
-    elif kind in ("thermal", "displaced_thermal"):
-        q = nbar / (nbar + 1.0) if nbar > 0 else 0.0
-        d = 8 if q == 0 else max(8, math.ceil(math.log(tail_tol) / math.log(q)))
-        d += int(2 * abs(alpha) ** 2 + 10 * abs(alpha)) if kind == "displaced_thermal" else 0
-        base_nbar = nbar + abs(alpha) ** 2
-    elif kind == "phase_diffused_tmsv":
-        d = max(8, math.ceil(math.log(tail_tol) / math.log(omega)))
-        base_nbar = omega / (1.0 - omega)
-    elif kind in ("vacuum", "fock"):
-        d, base_nbar = 8, 0.0
-    else:
-        raise ValueError(f"unknown state kind {kind!r}")
-    if squeezer is not None:
-        amplified = squeezer.mu**2 * (base_nbar + 1.0) - 1.0
-        q = amplified / (amplified + 1.0)
-        d_sq = math.ceil(math.log(tail_tol) / math.log(q)) if q > 0 else 8
-        d = max(d, d_sq)
-        d = math.ceil(1.5 * d)
-    return d
 
 
 def _ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -51,6 +51,17 @@ _CONTRACTIONS = {
 }
 
 
+def check_displaced_thermal(alpha0: complex, nbar: float) -> None:
+    """Reject a displaced thermal state whose amplitude is not finite or whose
+    mean photon number is not finite and >= 0; every constructor and closed
+    form of one takes its parameters through here."""
+    alpha0 = complex(alpha0)
+    if not (math.isfinite(alpha0.real) and math.isfinite(alpha0.imag)):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha0}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+
+
 class PhaseSpaceMixture(NamedTuple):
     """Finite mixture of Gaussian and delta terms; immutable.
 
@@ -94,10 +105,7 @@ class PhaseSpaceMixture(NamedTuple):
     @classmethod
     def displaced_thermal(cls, alpha0: complex, nbar: float) -> "PhaseSpaceMixture":
         alpha0 = complex(alpha0)
-        if not (math.isfinite(alpha0.real) and math.isfinite(alpha0.imag)):
-            raise ValueError(f"coherent amplitude must be finite, got {alpha0}")
-        if not 0 <= nbar < math.inf:
-            raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+        check_displaced_thermal(alpha0, nbar)
         if nbar == 0:
             return cls(dc=(1.0,), dz=(alpha0,))
         return cls.from_fields((1.0 / (math.pi * nbar),), (alpha0,), (1.0 / nbar,))

@@ -34,6 +34,7 @@ from .dsymbol import CutoffError, NumericalError
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
     PhaseSpaceMixture,
+    check_displaced_thermal,
     convolve_noise,
     husimi_smooth,
     husimi_unsmooth,
@@ -315,7 +316,12 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_sum(n_diodes: int, k: int, gammas: np.ndarray, exponents: np.ndarray) -> float:
+def _gamma_sum(alpha0: complex, nbar: float, scale: float, n_diodes: int, k: int) -> float:
+    """The alternating sum of both closed forms, with lam_j = scale (1 - j/N),
+    gamma_j = 1 + lam_j nbar and exponent lam_j |alpha0|^2 / gamma_j."""
+    lam = scale * (1.0 - np.arange(k + 1) / n_diodes)
+    gammas = 1.0 + lam * nbar
+    exponents = lam * abs(alpha0) ** 2 / gammas
     try:
         return math.fsum([
             math.comb(n_diodes, k)
@@ -338,15 +344,8 @@ def probability_subtraction_displaced_thermal(
     written as eta r^2 (1 - j/N) |alpha0|^2 / gamma_j, which carries the
     nbar -> 0 (coherent input) limit without any 0/0.
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    n, eta, k = spec.det.N, spec.det.eta, spec.k
-    r2 = spec.bs.r**2
-    j = np.arange(k + 1)
-    lam = eta * r2 * (1.0 - j / n)
-    gammas = 1.0 + lam * nbar
-    exponents = lam * abs(alpha0) ** 2 / gammas
-    return _gamma_sum(n, k, gammas, exponents)
+    check_displaced_thermal(alpha0, nbar)
+    return _gamma_sum(alpha0, nbar, spec.det.eta * spec.bs.r**2, spec.det.N, spec.k)
 
 
 def probability_addition_displaced_thermal(
@@ -357,15 +356,8 @@ def probability_addition_displaced_thermal(
     gamma_j = 1 + eta nu^2 (nbar + 1) (1 - j/N); the exponent
     eta nu^2 (1 - j/N) |alpha0|^2 / gamma_j is regular for every nbar >= 0.
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    n, eta, k = spec.det.N, spec.det.eta, spec.k
-    nu2 = spec.sq.nu**2
-    j = np.arange(k + 1)
-    lam = eta * nu2 * (1.0 - j / n)
-    gammas = 1.0 + lam * (nbar + 1.0)
-    exponents = lam * abs(alpha0) ** 2 / gammas
-    return _gamma_sum(n, k, gammas, exponents)
+    check_displaced_thermal(alpha0, nbar)
+    return _gamma_sum(alpha0, nbar + 1.0, spec.det.eta * spec.sq.nu**2, spec.det.N, spec.k)
 
 
 def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:
@@ -400,6 +392,6 @@ def nu_for_sigma2(sigma2: float, eta: float) -> float:
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"inversion needs 0 <= eta < 1, got {eta}")
     denom = 1.0 - eta - eta * sigma2
-    if sigma2 < 0 or denom <= 0:
+    if not (sigma2 >= 0 and denom > 0):
         raise ValueError(f"sigma^2 = {sigma2} is not reachable at eta = {eta}")
     return math.sqrt(sigma2 / denom)

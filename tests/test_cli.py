@@ -1,6 +1,7 @@
 """CLI behavior: protocols end to end, exit codes, determinism, formats."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,33 @@ def test_non_real_field_is_parse_error(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_clickstats_non_finite_nbar_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"schema": 1, "protocol": "clickstats",'
+        ' "input": {"kind": "thermal", "nbar": NaN, "cutoff": 64},'
+        ' "detector": {"N": 4, "eta": 0.5}}'
+    )
+    out = tmp_path / "out"
+    assert main(["clickstats", "--config", str(cfg), "--out", str(out)]) == 2
+    # rejected at the state, before a NaN photon distribution is built
+    assert "invalid parameters: mean photon number" in capsys.readouterr().err
+    assert not (out / "click_distribution.csv").exists()
+
+
+def test_amplify_accepts_squeezing_strength(tmp_path):
+    # xi = acosh(1.5) is the strength from_mu(1.5) resolves: one pair source
+    table1 = json.loads((CONFIGS / "table1.json").read_text())
+    by_xi = {**table1, "addition": {**table1["addition"], "optics": {"xi": math.acosh(1.5)}}}
+    runs = {}
+    for name, payload in (("mu", table1), ("xi", by_xi)):
+        out = tmp_path / name
+        assert main(["amplify", "--config", write_config(tmp_path, payload, f"{name}.json"),
+                     "--out", str(out), "--manifest"]) == 0
+        runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["xi"] == runs["mu"]
+
+
 def test_integral_float_field_is_accepted(tmp_path):
     cfg = write_config(tmp_path, {**ADD_CONFIG, "grid": {**SMALL_GRID, "n_re": 3.0}})
     assert main(["add", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -532,6 +560,8 @@ NON_OBJECT_NODES = {
     "add_optics_text": {**ADD_CONFIG, "optics": "mu"},
     "add_optics_list": {**ADD_CONFIG, "optics": ["mu"]},
     "amplify_addition": {**json.loads((CONFIGS / "table1.json").read_text()), "addition": "optics"},
+    "subtract_detector": {**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7}, "detector": "N"},
+    "add_grid": {**ADD_CONFIG, "grid": ["re_min"]},
 }
 
 

@@ -19,7 +19,6 @@ from clickcraft import (
     make_state,
     normally_ordered_moment,
     photon_distribution,
-    suggest_cutoff,
     tensor_product,
     trace_out_detector_mode,
 )
@@ -80,13 +79,6 @@ def test_displaced_thermal_matches_moments():
     assert normally_ordered_moment(rho, 0, 1) == pytest.approx(alpha0, abs=1e-10)
     mean_n = normally_ordered_moment(rho, 1, 1).real
     assert mean_n == pytest.approx(abs(alpha0) ** 2 + nbar, rel=1e-10)
-
-
-def test_suggest_cutoff_respects_tail():
-    d = suggest_cutoff("thermal", nbar=0.5)
-    assert (0.5 / 1.5) ** d <= 1e-10
-    d_sq = suggest_cutoff("thermal", nbar=0.5, squeezer=SqueezerConfig.from_mu(1.4))
-    assert d_sq > d
 
 
 # --- beam splitter ----------------------------------------------------------
@@ -285,16 +277,6 @@ def test_moments_converge_in_cutoff():
             m_small = normally_ordered_moment(trace_out_detector_mode(small), p, q)
             m_big = normally_ordered_moment(trace_out_detector_mode(big), p, q)
             assert abs(m_small - m_big) < 1e-8
-
-
-def test_density_matrix_validate_catches_bad_operators():
-    rho = make_state("thermal", 16, nbar=0.2)
-    rho.validate()
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1.0
-    bad[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        DensityMatrix(4, bad).validate()
 
 
 # --- ket ensemble against the dense definition --------------------------------

@@ -1,6 +1,8 @@
 """Protocol tests: heralding, subtraction, addition, composed amplification."""
 
 import ast
+import importlib
+import importlib.util
 import math
 from pathlib import Path
 
@@ -450,6 +452,35 @@ def test_sigma2_inverse_lookup():
         nu_for_sigma2(0.5, 1.0)
 
 
+NAN = math.nan
+NON_FINITE_INPUTS = {
+    "make_state-coherent-alpha": lambda: make_state("coherent", 16, alpha=complex(NAN, 0.0)),
+    "make_state-thermal-nbar-nan": lambda: make_state("thermal", 16, nbar=NAN),
+    "make_state-thermal-nbar-inf": lambda: make_state("thermal", 16, nbar=math.inf),
+    "make_state-displaced-alpha": lambda: make_state("displaced_thermal", 16, alpha=NAN, nbar=0.2),
+    "make_state-displaced-nbar": lambda: make_state("displaced_thermal", 16, alpha=0.5, nbar=NAN),
+    "subtraction-alpha": lambda: probability_subtraction_displaced_thermal(
+        complex(0.0, NAN), 0.5, SubtractionSpec(BS07, DET16, 1)),
+    "subtraction-nbar-nan": lambda: probability_subtraction_displaced_thermal(
+        0.5, NAN, SubtractionSpec(BS07, DET16, 1)),
+    "subtraction-nbar-inf": lambda: probability_subtraction_displaced_thermal(
+        0.5, math.inf, SubtractionSpec(BS07, DET16, 1)),
+    "addition-alpha": lambda: probability_addition_displaced_thermal(
+        NAN, 0.5, AdditionSpec(SQ14, DET16, 1)),
+    "addition-nbar-nan": lambda: probability_addition_displaced_thermal(
+        0.5, NAN, AdditionSpec(SQ14, DET16, 1)),
+    "addition-nbar-inf": lambda: probability_addition_displaced_thermal(
+        0.5, math.inf, AdditionSpec(SQ14, DET16, 1)),
+    "nu_for_sigma2": lambda: nu_for_sigma2(NAN, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_is_value_error(call):
+    with pytest.raises(ValueError, match="finite|reachable"):
+        call()
+
+
 # --- spec validation ----------------------------------------------------------
 
 
@@ -491,3 +522,17 @@ def test_process_types_are_defined_by_processes():
         assert cls.__module__ == "clickcraft.processes"
     # the oracle uses the same classes, not copies
     assert clickcraft.fock.ProcessOutcome is clickcraft.ProcessOutcome
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # bench/tracing.py wraps each (module, attribute) of PATCHES by name, so a
+    # renamed function would otherwise fail only a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module, attr, _ in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    # the tracer counts a mixture's Gaussian terms with len(mixture.gaussians)
+    assert len(PhaseSpaceMixture.thermal(0.5).gaussians) == 1
