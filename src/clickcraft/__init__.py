@@ -15,7 +15,6 @@ from .dsymbol import (
     d_recursive,
 )
 from .fock import (
-    DensityMatrix,
     TwoModeDensityMatrix,
     apply_beam_splitter,
     apply_two_mode_squeezer,

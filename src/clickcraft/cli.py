@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .dsymbol import NumericalError
-from .fock import make_state, photon_distribution
+from .fock import _KIND_KEYWORDS, make_state, photon_distribution
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
 from .povm import DetectorConfig, click_statistics, operator_norm_distance
 from .processes import (
@@ -51,9 +51,9 @@ from .processes import (
     subtract,
 )
 
-# a photon distribution, or a one-mode state of ``make_state``
-CLICKSTATS_KINDS = ("photon_distribution", "vacuum", "fock", "coherent", "thermal",
-                    "displaced_thermal")
+# the fields of each input kind besides ``kind``: a ``probs`` list, or the
+# keywords of a state of ``make_state``; an input node holds no other field
+_INPUT_FIELDS = {"photon_distribution": ("probs",), **_KIND_KEYWORDS}
 
 
 class ConfigError(Exception):
@@ -188,8 +188,11 @@ def _detector_from(node) -> DetectorConfig:
 
 
 def _squeezer_from(optics) -> SqueezerConfig:
-    """A pair source given by its gain ``mu`` or its squeezing strength ``xi``."""
+    """A pair source given by its gain ``mu`` or its squeezing strength ``xi``,
+    not both."""
     if isinstance(optics, dict) and "mu" in optics:
+        if "xi" in optics:
+            raise ConfigError("a pair source takes its gain mu or its strength xi, not both")
         return SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
     return SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
 
@@ -198,20 +201,28 @@ def _beam_splitter_from(optics) -> BeamSplitterConfig:
     return BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
 
 
-def _mixture_from(node) -> PhaseSpaceMixture:
+def _probs_from(value, what: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    return np.asarray([_real(v, what) for v in value])
+
+
+_FIELD_PARSERS = {"alpha": _complex_from, "nbar": _real, "omega": _real, "n": _integer,
+                  "probs": _probs_from}
+
+
+def _input_from(node, kinds: tuple[str, ...], what: str, optional=()) -> tuple[str, dict]:
+    """The kind of an input node, one of ``kinds``, and its fields by name,
+    parsed.  A field its kind does not read, other than one of ``optional``,
+    is a config error."""
     kind = _require(node, "kind")
-    if kind == "vacuum":
-        return PhaseSpaceMixture.vacuum()
-    if kind == "coherent":
-        return PhaseSpaceMixture.coherent(_complex_from(_require(node, "alpha"), "alpha"))
-    if kind == "thermal":
-        return PhaseSpaceMixture.thermal(_real(_require(node, "nbar"), "nbar"))
-    if kind == "displaced_thermal":
-        return PhaseSpaceMixture.displaced_thermal(
-            _complex_from(_require(node, "alpha"), "alpha"),
-            _real(_require(node, "nbar"), "nbar"),
-        )
-    raise ConfigError(f"unsupported input state kind {kind!r}")
+    if kind not in kinds:
+        raise ConfigError(f"{what} input kind must be one of {', '.join(kinds)}, got {kind!r}")
+    fields = _INPUT_FIELDS[kind]
+    for key in node:
+        if key not in ("kind", *fields, *optional):
+            raise ConfigError(f"a {kind} input takes no {key!r} field")
+    return kind, {key: _FIELD_PARSERS[key](_require(node, key), key) for key in fields}
 
 
 _GRID_FIELDS = ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im")
@@ -320,10 +331,8 @@ def _write_distribution(
 
 
 def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    inp = _require(config, "input")
-    if _require(inp, "kind") != "phase_diffused_tmsv":
-        raise ConfigError("the herald protocol takes a phase_diffused_tmsv input")
-    omega = _real(_require(inp, "omega"), "omega")
+    _, fields = _input_from(_require(config, "input"), ("phase_diffused_tmsv",), "herald")
+    omega = fields["omega"]
     det = _detector_from(_require(config, "detector"))
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = config.get("cutoff")
@@ -345,7 +354,10 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
 def _conditioning_protocol(
     protocol: str, config: dict, outdir: Path, fmt: str, grid: GridSpec | None
 ) -> tuple[list[str], dict]:
-    p_in = _mixture_from(_require(config, "input"))
+    kinds = ("vacuum", "coherent", "thermal", "displaced_thermal")
+    kind, fields = _input_from(_require(config, "input"), kinds, protocol)
+    # each kind's constructor takes its fields in the table's order
+    p_in = getattr(PhaseSpaceMixture, kind)(*fields.values())
     det = _detector_from(_require(config, "detector"))
     optics = _require(config, "optics")
     if protocol == "subtract":
@@ -372,10 +384,7 @@ def _conditioning_protocol(
 
 
 def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    inp = _require(config, "input")
-    if _require(inp, "kind") != "coherent":
-        raise ConfigError("the amplify protocol takes a coherent input")
-    beta = _complex_from(_require(inp, "alpha"), "alpha")
+    beta = _input_from(_require(config, "input"), ("coherent",), "amplify")[1]["alpha"]
     add_node = _require(config, "addition")
     sub_node = _require(config, "subtraction")
     sq = _squeezer_from(_require(add_node, "optics"))
@@ -418,25 +427,15 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
 
 def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
     inp = _require(config, "input")
-    kind = _require(inp, "kind")
-    if kind not in CLICKSTATS_KINDS:
-        raise ConfigError(f"clickstats input kind must be one of {', '.join(CLICKSTATS_KINDS)}, "
-                          f"got {kind!r}")
-    if kind == "photon_distribution":
-        probs = _require(inp, "probs")
-        if not isinstance(probs, list):
-            raise ConfigError(f"probs must be a list of numbers, got {probs!r}")
-        probs = np.asarray([_real(v, "probs") for v in probs])
-    else:
+    # a photon distribution, or a one-mode state of ``make_state`` with its cutoff
+    kinds = tuple(k for k in _INPUT_FIELDS if k != "phase_diffused_tmsv")
+    fock_space = _require(inp, "kind") != "photon_distribution"
+    kind, fields = _input_from(inp, kinds, "clickstats", ("cutoff",) if fock_space else ())
+    if fock_space:
         cutoff = _integer(inp.get("cutoff", 64), "cutoff")
-        state = make_state(
-            kind,
-            cutoff,
-            alpha=_complex_from(inp.get("alpha", 0.0), "alpha"),
-            nbar=_real(inp.get("nbar", 0.0), "nbar"),
-            n=_integer(inp.get("n", 0), "n"),
-        )
-        probs = photon_distribution(state)
+        probs = photon_distribution(make_state(kind, cutoff, **fields))
+    else:
+        probs = fields["probs"]
     det = _detector_from(_require(config, "detector"))
     dist = click_statistics(probs, det)
     columns = {"k": np.arange(det.N + 1), "probability": dist.probs}

@@ -37,16 +37,6 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "DSymbolParams",
-    "CutoffError",
-    "DSymbolTable",
-    "NumericalError",
-    "d_direct",
-    "d_exact",
-    "d_recursive",
-]
-
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
@@ -136,10 +126,15 @@ class DSymbolParams:
 class DSymbolTable:
     """Immutable dense table of D[k, m], 0 <= k <= kmax, 0 <= m <= mmax."""
 
-    params: DSymbolParams
-    kmax: int
-    mmax: int
     values: np.ndarray  # shape (kmax+1, mmax+1), read-only
+
+    @property
+    def kmax(self) -> int:
+        return self.values.shape[0] - 1
+
+    @property
+    def mmax(self) -> int:
+        return self.values.shape[1] - 1
 
     def value(self, k: int, m: int) -> float:
         if not (0 <= k <= self.kmax and 0 <= m <= self.mmax):
@@ -240,7 +235,7 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     if not np.isfinite(values).all():
         raise NumericalError(f"kernel table of {params} overflows the float range")
     values.flags.writeable = False
-    return DSymbolTable(params=params, kmax=kmax, mmax=mmax, values=values)
+    return DSymbolTable(values)
 
 
 def _fill_scalar(row0: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is brute force on a finite photon-number basis |0..d-1> and
 serves as the independent cross-check for the closed-form phase-space
-pipeline.  Two-mode states are weighted ket ensembles,
+pipeline.  A one-mode state is a read-only (d, d) complex array; a
+conditioned one is unnormalized, its trace the probability of the
+conditioning event.  Two-mode states are weighted ket ensembles,
 rho = sum_j w_j |psi_j><psi_j|, so a d x d pair costs n d^2 amplitudes for an
 ensemble of n kets rather than d^4 matrix entries.  Unitaries are built by
 exponentiating the truncated generator; both generators conserve an integer
@@ -29,48 +31,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsymbol import CutoffError, NumericalError
+# both exported, as a cutoff failure is one kind of numerical failure
+from .dsymbol import CutoffError, NumericalError  # noqa: F401
 from .pfunc import check_displaced_thermal
 from .povm import DetectorConfig, click_povm_element
 from .processes import DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome, SqueezerConfig
 
-__all__ = [
-    "CutoffError",
-    "DensityMatrix",
-    "NumericalError",
-    "TwoModeDensityMatrix",
-    "apply_beam_splitter",
-    "apply_two_mode_squeezer",
-    "condition_on_clicks",
-    "make_state",
-    "normally_ordered_moment",
-    "photon_distribution",
-    "tensor_product",
-    "trace_out_detector_mode",
-]
-
 UNITARY_TAIL_TOL = 1e-8
+# the keywords each state kind of ``make_state`` reads
+_KIND_KEYWORDS = {
+    "vacuum": (),
+    "fock": ("n",),
+    "coherent": ("alpha",),
+    "thermal": ("nbar",),
+    "displaced_thermal": ("alpha", "nbar"),
+    "phase_diffused_tmsv": ("omega",),
+}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Single-mode operator on the truncated basis |0..cutoff-1>.
-
-    Unnormalized conditional states (trace < 1) are allowed; the trace of a
-    conditioned output is the probability of the conditioning event.
-    """
-
-    cutoff: int
-    entries: np.ndarray  # (d, d) complex
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
 
 
 @dataclass(frozen=True)
@@ -83,9 +64,12 @@ class TwoModeDensityMatrix:
     dense form, built on demand.
     """
 
-    cutoffs: tuple[int, int]
     weights: np.ndarray  # (n,) real
     kets: np.ndarray  # (n, dA, dB) complex
+
+    @property
+    def cutoffs(self) -> tuple[int, int]:
+        return self.kets.shape[1:]
 
     @property
     def entries(self) -> np.ndarray:
@@ -132,8 +116,8 @@ def make_state(
     omega: float = 0.0,
     n: int = 0,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> DensityMatrix | TwoModeDensityMatrix:
-    """Build a normalized truncated state.
+) -> np.ndarray | TwoModeDensityMatrix:
+    """Build a normalized truncated state: a (d, d) array for a one-mode kind.
 
     Kinds: ``vacuum``, ``fock`` (photon number n), ``coherent`` (amplitude
     alpha), ``thermal`` (mean photon number nbar), ``displaced_thermal``
@@ -141,19 +125,23 @@ def make_state(
     omega, diagonal (1-omega) sum omega^n |n,n><n,n|).
 
     Raises CutoffError when the truncated trace would fall below 1 - tail_tol,
-    and ValueError for a non-finite alpha or an nbar that is not finite and
-    >= 0.
+    and ValueError for a keyword the kind does not read that is not 0, a
+    non-finite alpha or an nbar that is not finite and >= 0.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
+    if kind not in _KIND_KEYWORDS:
+        raise ValueError(f"unknown state kind {kind!r}")
+    for name, value in (("alpha", alpha), ("nbar", nbar), ("omega", omega), ("n", n)):
+        if value != 0 and name not in _KIND_KEYWORDS[kind]:
+            raise ValueError(f"a {kind} state takes no {name}, got {name}={value!r}")
     d = cutoff
     if kind in ("vacuum", "fock"):
-        n = n if kind == "fock" else 0
         if not 0 <= n < d:
             raise CutoffError(f"|{n}> needs cutoff > {n}, got {d}")
         rho = np.zeros((d, d), dtype=complex)
         rho[n, n] = 1.0
-        return DensityMatrix(d, _readonly(rho))
+        return _readonly(rho)
     if kind in ("coherent", "thermal", "displaced_thermal"):
         check_displaced_thermal(alpha, nbar)
     if kind == "coherent":
@@ -167,7 +155,7 @@ def make_state(
                 f"coherent |alpha|={abs(alpha):.4g} keeps only {norm:.12f} of its "
                 f"weight below cutoff {d}"
             )
-        return DensityMatrix(d, _readonly(np.outer(amps, amps.conj())))
+        return _readonly(np.outer(amps, amps.conj()))
     if kind == "thermal":
         if nbar == 0:
             return make_state("fock", d)
@@ -175,7 +163,7 @@ def make_state(
         if q**d > tail_tol:
             raise CutoffError(f"thermal nbar={nbar} has tail {q ** d:.3g} at cutoff {d}")
         probs = (1.0 - q) * q ** np.arange(d)
-        return DensityMatrix(d, _readonly(np.diag(probs).astype(complex)))
+        return _readonly(np.diag(probs).astype(complex))
     if kind == "displaced_thermal":
         if nbar == 0:
             return make_state("coherent", d, alpha=alpha, tail_tol=tail_tol)
@@ -185,7 +173,7 @@ def make_state(
         rot = np.exp(1j * np.angle(alpha) * np.arange(work))
         disp = _expm_tridiagonal(abs(alpha) * np.sqrt(np.arange(1.0, work)))
         disp = rot[:, None] * disp * rot.conj()
-        full = disp @ thermal.entries @ disp.conj().T
+        full = disp @ thermal @ disp.conj().T
         rho = full[:d, :d].copy()
         kept = float(np.trace(rho).real)
         if kept < 1.0 - tail_tol:
@@ -193,48 +181,47 @@ def make_state(
                 f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar}) keeps "
                 f"only {kept:.12f} below cutoff {d}"
             )
-        return DensityMatrix(d, _readonly(rho))
-    if kind == "phase_diffused_tmsv":
-        if not 0.0 < omega < 1.0:
-            raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
-        if omega**d > tail_tol:
-            raise CutoffError(
-                f"phase-diffused pair state omega={omega} has tail {omega ** d:.3g} "
-                f"at cutoff {d}"
-            )
-        kets = np.zeros((d, d, d), dtype=complex)
-        m = np.arange(d)
-        kets[m, m, m] = 1.0
-        weights = (1.0 - omega) * omega**m
-        return TwoModeDensityMatrix((d, d), _readonly(weights), _readonly(kets))
-    raise ValueError(f"unknown state kind {kind!r}")
+        return _readonly(rho)
+    # phase_diffused_tmsv
+    if not 0.0 < omega < 1.0:
+        raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
+    if omega**d > tail_tol:
+        raise CutoffError(
+            f"phase-diffused pair state omega={omega} has tail {omega ** d:.3g} "
+            f"at cutoff {d}"
+        )
+    kets = np.zeros((d, d, d), dtype=complex)
+    m = np.arange(d)
+    kets[m, m, m] = 1.0
+    weights = (1.0 - omega) * omega**m
+    return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
 
 
-def _ensemble(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _ensemble(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(weights, kets as rows) with rho = sum_j w_j |k_j><k_j|.
 
     A diagonal rho keeps only its non-zero diagonal entries with basis kets;
     anything else is eigendecomposed, keeping every signed eigenvalue.
     """
-    diag = np.diag(rho.entries)
-    if np.array_equal(rho.entries, np.diag(diag)):
+    diag = np.diag(rho)
+    if np.array_equal(rho, np.diag(diag)):
         nz = np.flatnonzero(diag)
-        return diag[nz].real, np.eye(rho.cutoff, dtype=complex)[nz]
-    w, v = np.linalg.eigh(rho.entries)
+        return diag[nz].real, np.eye(len(rho), dtype=complex)[nz]
+    w, v = np.linalg.eigh(rho)
     return w, v.T
 
 
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> TwoModeDensityMatrix:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> TwoModeDensityMatrix:
     w_a, k_a = _ensemble(a)
     w_b, k_b = _ensemble(b)
-    kets = np.einsum("ip,jr->ijpr", k_a, k_b).reshape(-1, a.cutoff, b.cutoff)
+    kets = np.einsum("ip,jr->ijpr", k_a, k_b).reshape(-1, len(a), len(b))
     weights = np.outer(w_a, w_b).reshape(-1)
-    return TwoModeDensityMatrix((a.cutoff, b.cutoff), _readonly(weights), _readonly(kets))
+    return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
 
 
-def photon_distribution(state: DensityMatrix) -> np.ndarray:
+def photon_distribution(state: np.ndarray) -> np.ndarray:
     """p_n = <n|rho|n>; non-negative up to roundoff, sums to the trace."""
-    return np.diag(state.entries).real.copy()
+    return np.diag(state).real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +253,7 @@ def _apply_blockwise(
             f"{what}: boundary occupancy {boundary / total:.3g} exceeds the tail "
             f"tolerance {tail_tol}; increase the cutoff"
         )
-    return TwoModeDensityMatrix(state.cutoffs, state.weights, _readonly(kets))
+    return TwoModeDensityMatrix(state.weights, _readonly(kets))
 
 
 def _beam_splitter_blocks(theta: float, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -343,17 +330,15 @@ def condition_on_clicks(
     d_a, d_b = state.cutoffs
     weights = click_povm_element(det, k, d_b)  # checks 0 <= k <= N
     out = np.tensordot(weights, state._detector_blocks, axes=1)
-    reduced = DensityMatrix(d_a, _readonly(out))
-    return ProcessOutcome(state=reduced, probability=reduced.trace)
+    return ProcessOutcome(state=_readonly(out), probability=float(np.trace(out).real))
 
 
-def trace_out_detector_mode(state: TwoModeDensityMatrix) -> DensityMatrix:
+def trace_out_detector_mode(state: TwoModeDensityMatrix) -> np.ndarray:
     """Unconditional reduced state of mode A."""
-    out = state._detector_blocks.sum(axis=0)
-    return DensityMatrix(state.cutoffs[0], _readonly(out))
+    return _readonly(state._detector_blocks.sum(axis=0))
 
 
-def normally_ordered_moment(state: DensityMatrix, p: int, q: int) -> complex:
+def normally_ordered_moment(state: np.ndarray, p: int, q: int) -> complex:
     """tr(rho a^dag^p a^q) on the truncated basis,
     sum_j rho[j+q, j+p] sqrt((j+p)! (j+q)!) / j!.
 
@@ -362,8 +347,8 @@ def normally_ordered_moment(state: DensityMatrix, p: int, q: int) -> complex:
     """
     if p < 0 or q < 0:
         raise ValueError("moment orders must be non-negative")
-    d = state.cutoff
-    band = np.diagonal(state.entries, p - q)[min(p, q) :]
+    d = len(state)
+    band = np.diagonal(state, p - q)[min(p, q) :]
     j = np.arange(band.size, dtype=float)[:, None]
     rising = lambda n: np.prod(j + np.arange(1, n + 1), axis=1)  # (j+n)!/j!
     terms = band * np.sqrt(rising(p) * rising(q))

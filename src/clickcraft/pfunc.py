@@ -35,11 +35,6 @@ import numpy as np
 
 from .dsymbol import NumericalError
 
-__all__ = [
-    "GridSpec", "PhaseSpaceMixture", "convolve_noise", "evaluate_grid", "husimi_smooth",
-    "husimi_unsmooth", "integral", "moment", "multiply_click_factor", "scale_loss",
-]
-
 PRUNE_RELATIVE = 1e-15
 MAX_MOMENT_ORDER = 6
 # (C(p, i) C(q, i) i!, -i, p - i, q - i) of each contraction order i of moment (p, q)

@@ -26,17 +26,6 @@ import numpy as np
 
 from .dsymbol import DSymbolParams, DSymbolTable, d_recursive
 
-__all__ = [
-    "ClickDistribution",
-    "DetectorConfig",
-    "OperatorNormDistance",
-    "click_kernel_table",
-    "click_povm_element",
-    "click_statistics",
-    "operator_norm_distance",
-    "photoelectric_element",
-]
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -57,7 +46,6 @@ class ClickDistribution:
     """Probabilities of k = 0..N clicks; entries in [0, 1], summing to one."""
 
     probs: np.ndarray
-    det: DetectorConfig
 
 
 def click_kernel_table(det: DetectorConfig, kmax: int, mmax: int) -> DSymbolTable:
@@ -113,7 +101,7 @@ def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistr
         probs[1:] += carried
         probs[0] += pm
     probs.flags.writeable = False
-    return ClickDistribution(probs=probs, det=det)
+    return ClickDistribution(probs)
 
 
 def _comb_weight(n: int, k: int, a: float, b: float, q: int, log_b: float | None = None) -> float:
@@ -173,10 +161,12 @@ class OperatorNormDistance:
     is never silently truncated.
     """
 
-    value: float
     grid_sup: float
     tail_bound: float
-    cutoff: int
+
+    @property
+    def value(self) -> float:
+        return max(self.grid_sup, self.tail_bound)
 
 
 def _photoelectric_tail_sup(eta: float, k: int, start: int) -> float:
@@ -216,7 +206,7 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
         raise ValueError(f"click number k={k} outside 0..{det.N}")
     if k == 0 or det.eta == 0.0:
         # k = 0: both elements are (1-eta)^m exactly.  eta = 0, k >= 1: both vanish.
-        return OperatorNormDistance(0.0, 0.0, 0.0, cutoff)
+        return OperatorNormDistance(0.0, 0.0)
 
     pe = photoelectric_element(det.eta, k, cutoff)
     # row k of the recursion needs rows 0..k only
@@ -228,4 +218,4 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
     base = 1.0 - det.eta * (1.0 - k / det.N)  # dominant geometric base of D[k, m]
     click_tail = min(1.0, _comb_weight(det.N, k, 2.0, base, cutoff))
     tail_bound = max(pe_tail, click_tail)
-    return OperatorNormDistance(max(grid_sup, tail_bound), grid_sup, tail_bound, cutoff)
+    return OperatorNormDistance(grid_sup, tail_bound)

@@ -43,26 +43,6 @@ from .pfunc import (
     scale_loss,
 )
 
-__all__ = [
-    "AdditionSpec",
-    "AmplifySpec",
-    "BeamSplitterConfig",
-    "HeraldedDistribution",
-    "ProcessOutcome",
-    "SqueezerConfig",
-    "SubtractionSpec",
-    "add",
-    "amplify",
-    "amplify_closed_form",
-    "effective_sigma2",
-    "herald_tmsv_distribution",
-    "nu_for_sigma2",
-    "probability_addition_displaced_thermal",
-    "probability_subtraction_displaced_thermal",
-    "probability_table",
-    "subtract",
-]
-
 
 # tail probability a cutoff may leave outside the truncated basis
 DEFAULT_TAIL_TOL = 1e-10
@@ -126,7 +106,7 @@ class ProcessOutcome:
     alternating closed forms; anything beyond 1e-9 is rejected.
     """
 
-    state: object  # PhaseSpaceMixture, or a fock.DensityMatrix
+    state: object  # PhaseSpaceMixture, or a one-mode (d, d) array of fock
     probability: float
 
     def __post_init__(self) -> None:
@@ -199,8 +179,15 @@ class HeraldedDistribution:
     (the click probability) and the renormalized distribution."""
 
     weights: np.ndarray
-    probability: float
-    normalized: np.ndarray
+
+    @property
+    def probability(self) -> float:
+        return float(self.weights.sum())
+
+    @property
+    def normalized(self) -> np.ndarray:
+        probability = self.probability
+        return self.weights / probability if probability > 0 else self.weights
 
 
 def herald_tmsv_distribution(
@@ -228,10 +215,7 @@ def herald_tmsv_distribution(
             f"at cutoff {cutoff}"
         )
     table = click_kernel_table(det, k, cutoff - 1)
-    weights = (1.0 - omega) * omega ** np.arange(cutoff) * table.row(k)
-    probability = float(weights.sum())
-    normalized = weights / probability if probability > 0 else weights
-    return HeraldedDistribution(weights, probability, normalized)
+    return HeraldedDistribution((1.0 - omega) * omega ** np.arange(cutoff) * table.row(k))
 
 
 # ---------------------------------------------------------------------------

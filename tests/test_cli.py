@@ -587,6 +587,54 @@ def test_clickstats_unknown_input_kind_is_parse_error(tmp_path, capsys, kind):
     assert not out.exists() or not any(out.iterdir())
 
 
+# each input node names a field its kind does not read; each used to exit 0
+# and drop the field
+UNREAD_INPUT_FIELDS = {
+    "clickstats_thermal_alpha": ({**FOCK_CLICKSTATS_CONFIG,
+                                  "input": {"kind": "thermal", "nbar": 0.5, "alpha": 1.0}}, "alpha"),
+    "clickstats_vacuum_n": ({**FOCK_CLICKSTATS_CONFIG,
+                             "input": {"kind": "vacuum", "n": 3, "cutoff": 8}}, "n"),
+    "clickstats_distribution_cutoff": ({**FOCK_CLICKSTATS_CONFIG, "input": {
+        "kind": "photon_distribution", "probs": [0.5, 0.5], "cutoff": 8}}, "cutoff"),
+    "subtract_thermal_alpha": ({**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7},
+                                "input": {"kind": "thermal", "nbar": 0.5, "alpha": 1.0}}, "alpha"),
+    "add_coherent_cutoff": ({**ADD_CONFIG, "input": {"kind": "coherent", "alpha": 0.5,
+                                                     "cutoff": 8}}, "cutoff"),
+    "herald_pair_nbar": ({**HERALD_CONFIG, "input": {"kind": "phase_diffused_tmsv",
+                                                     "omega": 0.25, "nbar": 0.5}}, "nbar"),
+    "amplify_coherent_nbar": ({**_amplify_pair_config([1]), "input": {
+        "kind": "coherent", "alpha": 0.5, "nbar": 0.5}}, "nbar"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_INPUT_FIELDS)
+def test_input_field_its_kind_does_not_read_is_parse_error(tmp_path, capsys, case):
+    payload, field = UNREAD_INPUT_FIELDS[case]
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(field) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("protocol", ["add", "amplify"])
+def test_pair_source_given_both_ways_is_parse_error(tmp_path, capsys, protocol):
+    # used to exit 0 with mu, dropping xi
+    optics = {"mu": 1.4, "xi": 3.0}
+    if protocol == "add":
+        payload = {**ADD_CONFIG, "optics": optics}
+    else:
+        payload = _amplify_pair_config([1])
+        payload["addition"] = {**payload["addition"], "optics": optics}
+    out = tmp_path / "out"
+    argv = [protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not both" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_clickstats_displaced_thermal_input(tmp_path):
     payload = {**FOCK_CLICKSTATS_CONFIG,
                "input": {"kind": "displaced_thermal", "alpha": [0.3, 0.2], "nbar": 0.2, "cutoff": 48},

@@ -536,3 +536,11 @@ def test_every_name_the_benchmark_tracer_patches_exists():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     # the tracer counts a mixture's Gaussian terms with len(mixture.gaussians)
     assert len(PhaseSpaceMixture.thermal(0.5).gaussians) == 1
+    # _table_cells reads a kernel table's kmax and mmax, _dense_bytes a
+    # two-mode state's cutoffs[0]
+    table = clickcraft.d_recursive(clickcraft.DSymbolParams(4, 0.5, 0.5), 3, 6)
+    assert (table.kmax, table.mmax) == (3, 6) == tuple(n - 1 for n in table.values.shape)
+    assert tracing._table_cells((), {}, table) == table.values.size
+    joint = clickcraft.tensor_product(make_state("vacuum", 5), make_state("vacuum", 5))
+    assert joint.cutoffs[0] == 5
+    assert tracing._dense_bytes((joint,), {}, None) == 16 * 5**4
