@@ -24,6 +24,7 @@ one kind).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Iterable
@@ -35,10 +36,11 @@ import numpy as np
 
 from . import __version__
 from .dsymbol import NumericalError
-from .fock import _KIND_KEYWORDS, make_state, photon_distribution
+from .fock import make_state, photon_distribution
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
 from .povm import DetectorConfig, click_statistics, operator_norm_distance
 from .processes import (
+    _KIND_KEYWORDS,
     AdditionSpec,
     AmplifySpec,
     BeamSplitterConfig,
@@ -54,6 +56,9 @@ from .processes import (
 # the fields of each input kind besides ``kind``: a ``probs`` list, or the
 # keywords of a state of ``make_state``; an input node holds no other field
 _INPUT_FIELDS = {"photon_distribution": ("probs",), **_KIND_KEYWORDS}
+# the top-level fields that any protocol reads; a config holds no other field
+_CONFIG_FIELDS = {"schema", "protocol", "format", "grid", "input", "detector", "optics", "clicks",
+                  "cutoff", "addition", "subtraction", "eta", "k", "N"}
 
 
 class ConfigError(Exception):
@@ -207,6 +212,13 @@ def _probs_from(value, what: str) -> np.ndarray:
     return np.asarray([_real(v, what) for v in value])
 
 
+def _known_fields(node: dict, known, what: str) -> None:
+    """A field of ``node`` not in ``known`` is a config error."""
+    for key in node:
+        if key not in known:
+            raise ConfigError(f"{what} takes no {key!r} field")
+
+
 _FIELD_PARSERS = {"alpha": _complex_from, "nbar": _real, "omega": _real, "n": _integer,
                   "probs": _probs_from}
 
@@ -219,13 +231,12 @@ def _input_from(node, kinds: tuple[str, ...], what: str, optional=()) -> tuple[s
     if kind not in kinds:
         raise ConfigError(f"{what} input kind must be one of {', '.join(kinds)}, got {kind!r}")
     fields = _INPUT_FIELDS[kind]
-    for key in node:
-        if key not in ("kind", *fields, *optional):
-            raise ConfigError(f"a {kind} input takes no {key!r} field")
+    _known_fields(node, ("kind", *fields, *optional), f"a {kind} input")
     return kind, {key: _FIELD_PARSERS[key](_require(node, key), key) for key in fields}
 
 
-_GRID_FIELDS = ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im")
+# GridSpec's fields in order: four extents, then two cell counts
+_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 
 def _grid_from(node) -> GridSpec:
@@ -395,8 +406,9 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     # the grid's click pairs, {"k1": ..., "k2": ...} or one value for both
     # stages, parsed before any output is written
     node = config.get("clicks", "all")
-    k1_node, k2_node = (node.get("k1"), node.get("k2")) if isinstance(node, dict) else (node, node)
-    k1_list, k2_list = _clicks_list(k1_node, det1.N), _clicks_list(k2_node, det2.N)
+    pair = node if isinstance(node, dict) else {"k1": node, "k2": node}
+    _known_fields(pair, ("k1", "k2"), "an amplify clicks object")
+    k1_list, k2_list = _clicks_list(pair.get("k1"), det1.N), _clicks_list(pair.get("k2"), det2.N)
 
     table = probability_table(spec, beta)
     percent = 100.0 * table
@@ -499,6 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        _known_fields(config, _CONFIG_FIELDS, "a config")
         if config.get("protocol", args.protocol) != args.protocol:
             raise ConfigError(
                 f"config is for protocol {config.get('protocol')!r}, "

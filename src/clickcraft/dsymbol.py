@@ -116,11 +116,6 @@ class DSymbolParams:
         if not (math.isfinite(self.tau) and math.isfinite(self.sigma)):
             raise ValueError("tau and sigma must be finite")
 
-    @classmethod
-    def for_detector(cls, n_diodes: int, eta: float) -> "DSymbolParams":
-        """Probability-regime parameters tau = 1 - eta, sigma = eta."""
-        return cls(n_diodes, 1.0 - eta, eta)
-
 
 @dataclass(frozen=True)
 class DSymbolTable:
@@ -135,15 +130,6 @@ class DSymbolTable:
     @property
     def mmax(self) -> int:
         return self.values.shape[1] - 1
-
-    def value(self, k: int, m: int) -> float:
-        if not (0 <= k <= self.kmax and 0 <= m <= self.mmax):
-            raise IndexError(f"(k={k}, m={m}) outside table bounds")
-        return float(self.values[k, m])
-
-    def row(self, k: int) -> np.ndarray:
-        """Weights D[k, 0..mmax] for a fixed click number k."""
-        return self.values[k]
 
 
 def _check_indices(params: DSymbolParams, k: int, m: int) -> None:

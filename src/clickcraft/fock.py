@@ -31,22 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-# both exported, as a cutoff failure is one kind of numerical failure
-from .dsymbol import CutoffError, NumericalError  # noqa: F401
+from .dsymbol import CutoffError
 from .pfunc import check_displaced_thermal
 from .povm import DetectorConfig, click_povm_element
-from .processes import DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome, SqueezerConfig
+from .processes import _KIND_KEYWORDS, DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome
+from .processes import SqueezerConfig
 
 UNITARY_TAIL_TOL = 1e-8
-# the keywords each state kind of ``make_state`` reads
-_KIND_KEYWORDS = {
-    "vacuum": (),
-    "fock": ("n",),
-    "coherent": ("alpha",),
-    "thermal": ("nbar",),
-    "displaced_thermal": ("alpha", "nbar"),
-    "phase_diffused_tmsv": ("omega",),
-}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -77,10 +68,6 @@ class TwoModeDensityMatrix:
         flat = self.kets.reshape(-1, d_a * d_b)
         mat = (flat.T * self.weights) @ flat.conj()
         return _readonly(mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3))
-
-    @property
-    def trace(self) -> float:
-        return float(self.weights @ (np.abs(self.kets) ** 2).sum(axis=(1, 2)))
 
     @cached_property
     def _detector_blocks(self) -> np.ndarray:
@@ -125,8 +112,8 @@ def make_state(
     omega, diagonal (1-omega) sum omega^n |n,n><n,n|).
 
     Raises CutoffError when the truncated trace would fall below 1 - tail_tol,
-    and ValueError for a keyword the kind does not read that is not 0, a
-    non-finite alpha or an nbar that is not finite and >= 0.
+    and ValueError for a keyword the kind does not read that is not 0, an n
+    not an integer >= 0, an alpha not finite or an nbar not finite and >= 0.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
@@ -137,7 +124,9 @@ def make_state(
             raise ValueError(f"a {kind} state takes no {name}, got {name}={value!r}")
     d = cutoff
     if kind in ("vacuum", "fock"):
-        if not 0 <= n < d:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"photon number n must be an integer >= 0, got n={n!r}")
+        if n >= d:
             raise CutoffError(f"|{n}> needs cutoff > {n}, got {d}")
         rho = np.zeros((d, d), dtype=complex)
         rho[n, n] = 1.0

@@ -120,10 +120,6 @@ class PhaseSpaceMixture(NamedTuple):
             out += c * np.exp(-a * np.abs(alpha - z) ** 2)
         return out if out.shape else float(out)
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.c) + len(self.dc)
-
     def pruned(self, rel_tol: float = PRUNE_RELATIVE) -> "PhaseSpaceMixture":
         """Drop terms whose |integral| contribution is below rel_tol of the
         mixture's absolute integral; the dropped mass is reported on the result.

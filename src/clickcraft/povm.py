@@ -50,7 +50,7 @@ class ClickDistribution:
 
 def click_kernel_table(det: DetectorConfig, kmax: int, mmax: int) -> DSymbolTable:
     """Kernel table in the detector regime tau = 1 - eta, sigma = eta."""
-    return d_recursive(DSymbolParams.for_detector(det.N, det.eta), kmax, mmax)
+    return d_recursive(DSymbolParams(det.N, 1.0 - det.eta, det.eta), kmax, mmax)
 
 
 @lru_cache(maxsize=16)
@@ -70,7 +70,7 @@ def click_povm_element(det: DetectorConfig, k: int, cutoff: int) -> np.ndarray:
         raise ValueError(f"click number k={k} outside 0..{det.N}")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    return _full_kernel_table(det, cutoff).row(k)
+    return _full_kernel_table(det, cutoff).values[k]
 
 
 def click_statistics(photon_dist: np.ndarray, det: DetectorConfig) -> ClickDistribution:
@@ -210,7 +210,7 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
 
     pe = photoelectric_element(det.eta, k, cutoff)
     # row k of the recursion needs rows 0..k only
-    click = click_kernel_table(det, k, cutoff - 1).row(k)
+    click = click_kernel_table(det, k, cutoff - 1).values[k]
     grid_sup = float(np.max(np.abs(pe - click)))
 
     # tail: both sequences are non-negative, so |P - Pi| <= max of their sups

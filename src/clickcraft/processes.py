@@ -46,6 +46,15 @@ from .pfunc import (
 
 # tail probability a cutoff may leave outside the truncated basis
 DEFAULT_TAIL_TOL = 1e-10
+# the keywords each state kind of ``fock.make_state`` reads; the CLI input nodes share it
+_KIND_KEYWORDS = {
+    "vacuum": (),
+    "fock": ("n",),
+    "coherent": ("alpha",),
+    "thermal": ("nbar",),
+    "displaced_thermal": ("alpha", "nbar"),
+    "phase_diffused_tmsv": ("omega",),
+}
 
 
 def __getattr__(name: str):
@@ -215,7 +224,7 @@ def herald_tmsv_distribution(
             f"at cutoff {cutoff}"
         )
     table = click_kernel_table(det, k, cutoff - 1)
-    return HeraldedDistribution((1.0 - omega) * omega ** np.arange(cutoff) * table.row(k))
+    return HeraldedDistribution((1.0 - omega) * omega ** np.arange(cutoff) * table.values[k])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +244,9 @@ def add(p_in: PhaseSpaceMixture, spec: AdditionSpec) -> ProcessOutcome:
     Pipeline: amplifier noise convolution, then the click factor applied on
     the smoothed (Husimi) side, then exact unsmoothing back to a P function.
     """
+    if spec.det.eta == 1.0 and p_in.dc:
+        raise ValueError("eta = 1 turns the delta terms of a coherent or vacuum input into "
+                         "zero-width output terms; addition onto such an input needs eta < 1")
     smoothed = husimi_smooth(convolve_noise(p_in, spec.sq.mu))
     conditioned = multiply_click_factor(smoothed, spec.eta_eff, spec.det.N, spec.k)
     out = husimi_unsmooth(conditioned)

@@ -185,7 +185,7 @@ def test_criterion_3_kernel_triple_agreement():
         for k in range(kmax + 1):
             for m in range(129):
                 exact = float(d_exact(n, tau_q, sigma_q, k, m))
-                for value in (d_direct(params, k, m), table.value(k, m)):
+                for value in (d_direct(params, k, m), table.values[k, m]):
                     if abs(exact) > 1e-300:
                         worst_rel = max(worst_rel, abs(value - exact) / abs(exact))
                     else:

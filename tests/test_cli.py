@@ -618,6 +618,46 @@ def test_input_field_its_kind_does_not_read_is_parse_error(tmp_path, capsys, cas
     assert not out.exists() or not any(out.iterdir())
 
 
+# each config names a field that no protocol, or no amplify clicks object,
+# reads; each used to exit 0 and drop the field
+UNKNOWN_CONFIG_FIELDS = {
+    "top_level": ({**ADD_CONFIG, "extra": 1}, "extra"),
+    "misspelled_clicks": ({**{k: v for k, v in ADD_CONFIG.items() if k != "clicks"}, "click": 1},
+                          "click"),
+    "amplify_click_pair": (_amplify_pair_config({"k3": 1}), "k3"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_CONFIG_FIELDS)
+def test_unknown_config_field_is_parse_error(tmp_path, capsys, case):
+    payload, field = UNKNOWN_CONFIG_FIELDS[case]
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(field) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_addition_at_unit_efficiency_on_coherent_input_writes_nothing(tmp_path, capsys):
+    # at mu = 1.2 this used to exit 0 with an inverse width of 2^53 - 1 in terms_k0.json
+    payload = {**ADD_CONFIG, "input": {"kind": "coherent", "alpha": 0.7},
+               "detector": {"N": 4, "eta": 1.0}, "optics": {"mu": 1.2}, "clicks": "all"}
+    out = tmp_path / "out"
+    assert main(["add", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "eta < 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_negative_photon_number_is_validation_error(tmp_path, capsys):
+    # used to exit 3, a numerical failure, from the oracle's CutoffError
+    payload = {**FOCK_CLICKSTATS_CONFIG, "input": {"kind": "fock", "n": -1, "cutoff": 8}}
+    out = tmp_path / "out"
+    assert main(["clickstats", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("protocol", ["add", "amplify"])
 def test_pair_source_given_both_ways_is_parse_error(tmp_path, capsys, protocol):
     # used to exit 0 with mu, dropping xi

@@ -219,7 +219,7 @@ def test_distance_bounds_expectation_deviation():
 
 def _distance_from_full_table(det, k, cutoff, full):
     """operator_norm_distance as it read row k of the N+1-row kernel table."""
-    click = full.row(k)
+    click = full.values[k]
     eta = det.eta
 
     def w(m):
@@ -238,7 +238,7 @@ def test_distance_bits_match_full_table_route():
     for cutoff, eta in ((128, 0.37), (512, 0.81)):
         for n in range(2, 65):
             det = DetectorConfig(n, eta)
-            full = d_recursive(DSymbolParams.for_detector(n, eta), n, cutoff - 1)
+            full = d_recursive(DSymbolParams(n, 1.0 - eta, eta), n, cutoff - 1)
             for k in range(1, min(n, 3) + 1):
                 res = operator_norm_distance(det, k, cutoff)
                 grid_sup, tail_bound = _distance_from_full_table(det, k, cutoff, full)

@@ -214,6 +214,24 @@ def test_addition_rejects_unpumped():
         AdditionSpec(SqueezerConfig(0.0), DET16, 0)
 
 
+def test_addition_at_unit_efficiency_rejects_delta_inputs():
+    # each delta term used to leave a Gaussian of inverse width 2^53 - 1, or a
+    # ValueError about a negative width, by the last bit of 1/mu^2 + nu^2/mu^2
+    for mu in np.linspace(1.05, 3, 40):
+        sq = SqueezerConfig.from_mu(float(mu))
+        for n in (1, 2, 4, 8):
+            for k in range(n + 1):
+                spec = AdditionSpec(sq, DetectorConfig(n, 1.0), k)
+                for p_in in (PhaseSpaceMixture.coherent(0.7), PhaseSpaceMixture.vacuum()):
+                    with pytest.raises(ValueError, match="eta < 1"):
+                        add(p_in, spec)
+    # a thermal input has no delta term
+    det = DetectorConfig(4, 1.0)
+    p_in = PhaseSpaceMixture.thermal(0.5)
+    total = math.fsum(add(p_in, AdditionSpec(SQ14, det, k)).probability for k in range(5))
+    assert total == pytest.approx(1.0, abs=1e-10)
+
+
 def test_addition_probability_partition():
     p_in = PhaseSpaceMixture.coherent(0.6)
     total = math.fsum(
@@ -515,6 +533,16 @@ def test_production_modules_do_not_import_the_fock_oracle(module):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             assert not {".fock", "clickcraft.fock"} & _modules_named(node), (module, node.lineno)
         pending.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_a_private_name_of_the_fock_oracle():
+    # a table that the oracle and the production path both read lives on the
+    # production side, as _KIND_KEYWORDS does in processes
+    for path in Path(clickcraft.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and _modules_named(node) & {".fock", "clickcraft.fock"}:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, node.lineno, private)
 
 
 def test_process_types_are_defined_by_processes():
