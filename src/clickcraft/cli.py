@@ -56,9 +56,16 @@ from .processes import (
 # the fields of each input kind besides ``kind``: a ``probs`` list, or the
 # keywords of a state of ``make_state``; an input node holds no other field
 _INPUT_FIELDS = {"photon_distribution": ("probs",), **_KIND_KEYWORDS}
-# the top-level fields that any protocol reads; a config holds no other field
-_CONFIG_FIELDS = {"schema", "protocol", "format", "grid", "input", "detector", "optics", "clicks",
-                  "cutoff", "addition", "subtraction", "eta", "k", "N"}
+# the top-level fields each protocol reads besides schema, protocol and
+# format; its config holds no other field
+_CONFIG_FIELDS = {
+    "herald": ("input", "detector", "clicks", "cutoff"),
+    "subtract": ("input", "detector", "optics", "clicks", "grid"),
+    "add": ("input", "detector", "optics", "clicks", "grid"),
+    "amplify": ("input", "addition", "subtraction", "clicks", "grid"),
+    "clickstats": ("input", "detector"),
+    "errorbound": ("eta", "k", "N", "cutoff"),
+}
 
 
 class ConfigError(Exception):
@@ -138,8 +145,9 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if config.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported config schema {config.get('schema')!r}")
+    schema = config.get("schema", 1)
+    if type(schema) is not int or schema != 1:  # true and 1.0 compare equal to 1
+        raise ConfigError(f"unsupported config schema {schema!r}")
     return config
 
 
@@ -511,12 +519,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        _known_fields(config, _CONFIG_FIELDS, "a config")
         if config.get("protocol", args.protocol) != args.protocol:
             raise ConfigError(
                 f"config is for protocol {config.get('protocol')!r}, "
                 f"not {args.protocol!r}"
             )
+        fields = _CONFIG_FIELDS[args.protocol]
+        if (args.grid is not None or "grid" in config) and "grid" not in fields:
+            raise ConfigError(f"{args.protocol} renders no P function and takes no grid")
+        _known_fields(config, ("schema", "protocol", "format", *fields), f"a {args.protocol} config")
         # flag overrides
         for key in ("eta", "k", "N", "cutoff") if args.protocol == "errorbound" else ():
             value = getattr(args, key)
@@ -527,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"unknown output format {fmt!r}")
         grid = None
         if args.grid is not None or "grid" in config:
-            if args.protocol in ("herald", "clickstats", "errorbound"):
-                raise ConfigError(f"{args.protocol} renders no P function and takes no grid")
             grid = _grid_from(config["grid"]) if args.grid is None else _grid_from_flag(args.grid)
         outdir = Path(args.out)
         try:

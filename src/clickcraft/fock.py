@@ -10,11 +10,14 @@ ensemble of n kets rather than d^4 matrix entries.  Unitaries are built by
 exponentiating the truncated generator; both generators conserve an integer
 label (total photon number for the beam splitter, photon-number difference
 for the two-mode squeezer), so the exponential is taken block by block, which
-is exact, and each block acts on the kets alone: O(n d^3) work and O(n d^2)
-memory per application.  Every block is real, antisymmetric and tridiagonal,
-so its exponential comes from one real symmetric tridiagonal eigensolve, and
-a block is built only when the kets have amplitude on it (a unitary maps zero
-to zero).  Normally ordered moments read one offset diagonal of rho: O(d).
+is exact, and each block acts on the kets alone, in O(n d^2) memory.  Every
+block is real, antisymmetric and tridiagonal, so its exponential is real and
+comes from one real SVD of its half-size bidiagonal coupling, O(d^3) per
+block.  Only the columns at basis states the kets populate are built and
+applied: O(n d c) per block for c populated columns, and c = 1 for every
+rho (x) |0> (a unitary maps zero to zero, so a block the kets leave empty
+costs nothing).  Normally ordered moments read one offset diagonal of rho:
+O(d).
 
 Truncation is never silent: state constructors fail when the requested cutoff
 leaves more than ``tail_tol`` of probability outside the basis, and the
@@ -71,9 +74,19 @@ class TwoModeDensityMatrix:
 
     @cached_property
     def _detector_blocks(self) -> np.ndarray:
-        """G[m, p, q] = <p, m| rho |q, m>, the B-diagonal blocks (dB, dA, dA)."""
+        """G[m, p, q] = <p, m| rho |q, m>, the B-diagonal blocks (dB, dA, dA).
+
+        Each block is multiplied over the span of rows p the kets reach at m;
+        outside it the block is exactly zero."""
+        d_a, d_b = self.cutoffs
         x = self.kets.transpose(2, 1, 0)  # (dB, dA, n)
-        return _readonly((x * self.weights) @ x.conj().transpose(0, 2, 1))
+        blocks = np.zeros((d_b, d_a, d_a), dtype=complex)
+        for m, reached in enumerate(x.any(axis=2)):
+            rows = np.flatnonzero(reached)
+            if rows.size:
+                span = slice(rows[0], rows[-1] + 1)
+                blocks[m, span, span] = (x[m, span] * self.weights) @ x[m, span].conj().T
+        return _readonly(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +94,30 @@ class TwoModeDensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _expm_tridiagonal(s: np.ndarray) -> np.ndarray:
-    """exp(G) for the real antisymmetric tridiagonal G with G[i+1, i] = s[i]
-    and G[i, i+1] = -s[i].
+def _expm_tridiagonal(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """exp(G)[:, cols] (every column by default) for the real antisymmetric
+    tridiagonal G with G[i+1, i] = s[i] and G[i, i+1] = -s[i].
 
-    With P = diag(i^j), P^dag G P = -i T for the real symmetric tridiagonal T
-    with off-diagonal s, so exp(G) = P v exp(-i w) v^T P^dag from one real
-    eigendecomposition T = v diag(w) v^T.
+    G couples even indices to odd ones only, through the bidiagonal
+    B = G[1::2, 0::2].  One real SVD B = U diag(sigma) V^T (Golub & Kahan)
+    gives exp(G) as V cos V^T on the even indices, U cos U^T on the odd ones,
+    U sin V^T from even to odd and -V sin U^T back; the null vectors of a
+    non-square B take cos = 1.  Q holds V on the even rows and U on the odd
+    ones, so exp(G)[:, cols] = Q M Q[cols]^T for the rotation M of sigma.
     """
-    w, v = np.linalg.eigh(np.diag(s, -1))
-    phase = np.array([1, 1j, -1, -1j])[np.arange(s.size + 1) % 4]
-    return ((v * np.exp(-1j * w)) @ v.T) * np.outer(phase, phase.conj())
+    n = s.size + 1
+    m = n // 2  # odd indices; the even ones number n - m >= m
+    g = np.diag(s, -1)
+    u, sigma, vt = np.linalg.svd((g - g.T)[1::2, 0::2])
+    q = np.zeros((n, n))
+    q[0::2, : n - m] = vt.T
+    q[1::2, n - m :] = u
+    x = q.T if cols is None else q[cols].T
+    cos, sin = np.cos(sigma)[:, None], np.sin(sigma)[:, None]
+    y = x.copy()
+    y[:m] = cos * x[:m] - sin * x[n - m :]
+    y[n - m :] = sin * x[:m] + cos * x[n - m :]
+    return q @ y
 
 
 def make_state(
@@ -157,13 +183,13 @@ def make_state(
         if nbar == 0:
             return make_state("coherent", d, alpha=alpha, tail_tol=tail_tol)
         work = 2 * d + 32
-        thermal = make_state("thermal", work, nbar=nbar, tail_tol=1e-14)
-        # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a)
-        rot = np.exp(1j * np.angle(alpha) * np.arange(work))
-        disp = _expm_tridiagonal(abs(alpha) * np.sqrt(np.arange(1.0, work)))
-        disp = rot[:, None] * disp * rot.conj()
-        full = disp @ thermal @ disp.conj().T
-        rho = full[:d, :d].copy()
+        probs = photon_distribution(make_state("thermal", work, nbar=nbar, tail_tol=1e-14))
+        # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a) and
+        # D(|alpha|) real; its kept rows are the first columns of D(|alpha|)^T
+        # = D(-|alpha|)
+        rot = np.exp(1j * np.angle(alpha) * np.arange(d))
+        disp = _expm_tridiagonal(-abs(alpha) * np.sqrt(np.arange(1.0, work)), np.arange(d)).T
+        rho = rot[:, None] * ((disp * probs) @ disp.T) * rot.conj()
         kept = float(np.trace(rho).real)
         if kept < 1.0 - tail_tol:
             raise CutoffError(
@@ -225,13 +251,16 @@ def _apply_blockwise(
     what: str,
 ) -> TwoModeDensityMatrix:
     """|psi_j> -> U |psi_j> for U = direct sum of blocks exp(G), each given as
-    (indices, coupling vector of G); blocks the kets leave empty are skipped."""
+    (indices, coupling vector of G).  Only the columns of exp(G) at basis
+    states the kets populate are built, so a block the kets leave empty costs
+    nothing (a unitary maps zero to zero)."""
     d_a, d_b = state.cutoffs
     flat = state.kets.reshape(-1, d_a * d_b).copy()
+    populated = flat.any(axis=0)
     for idx, s in blocks:
-        sub = flat[:, idx]
-        if sub.any():
-            flat[:, idx] = sub @ _expm_tridiagonal(s).T
+        cols = np.flatnonzero(populated[idx])
+        if cols.size:
+            flat[:, idx] = flat[:, idx[cols]] @ _expm_tridiagonal(s, cols).T
     kets = flat.reshape(-1, d_a, d_b)
 
     diag = np.einsum("j,jps->ps", state.weights, np.abs(kets) ** 2)

@@ -42,6 +42,16 @@ def test_wrong_schema_is_parse_error(tmp_path):
     assert main(["subtract", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_schema_that_only_compares_equal_to_one_is_parse_error(tmp_path, capsys, schema):
+    # true and 1.0 used to pass the check, since both compare equal to 1
+    cfg = write_config(tmp_path, {**FOCK_CLICKSTATS_CONFIG, "schema": schema})
+    out = tmp_path / "out"
+    assert main(["clickstats", "--config", cfg, "--out", str(out)]) == 1
+    assert "unsupported config schema" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_protocol_mismatch_is_parse_error(tmp_path):
     cfg = write_config(tmp_path, {"schema": 1, "protocol": "add"})
     assert main(["subtract", "--config", cfg]) == 1
@@ -637,6 +647,32 @@ def test_unknown_config_field_is_parse_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "config error" in err and repr(field) in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# each config holds a top-level field that only other protocols read; each
+# used to exit 0 and drop the field
+STRAY_CONFIG_FIELDS = {
+    "herald": ({**HERALD_CONFIG, "optics": {"t": 0.7}}, "optics"),
+    "subtract": ({**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7}, "cutoff": 5},
+                 "cutoff"),
+    "add": ({**ADD_CONFIG, "eta": 0.3, "cutoff": 5}, "eta"),
+    "amplify": ({**_amplify_pair_config({"k1": 1, "k2": 0}), "detector": {"N": 4, "eta": 0.5}},
+                "detector"),
+    "clickstats": ({**FOCK_CLICKSTATS_CONFIG, "clicks": [1]}, "clicks"),
+    "errorbound": ({**ERRORBOUND_CONFIG, "detector": {"N": 4, "eta": 0.5}}, "detector"),
+}
+
+
+@pytest.mark.parametrize("protocol", STRAY_CONFIG_FIELDS)
+def test_field_of_another_protocol_is_parse_error(tmp_path, capsys, protocol):
+    payload, field = STRAY_CONFIG_FIELDS[protocol]
+    assert payload["protocol"] == protocol
+    out = tmp_path / "out"
+    argv = [protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"a {protocol} config takes no {field!r} field" in err
+    assert not out.exists()
 
 
 def test_addition_at_unit_efficiency_on_coherent_input_writes_nothing(tmp_path, capsys):

@@ -22,6 +22,7 @@ from clickcraft import (
     tensor_product,
     trace_out_detector_mode,
 )
+from clickcraft.fock import _expm_tridiagonal
 
 
 def coherent_vacuum(alpha, d):
@@ -131,6 +132,17 @@ def test_beam_splitter_single_photon_split():
     assert out.entries[1, 1, 0, 0].real == pytest.approx(t * t, abs=1e-12)
     assert out.entries[0, 0, 1, 1].real == pytest.approx(r * r, abs=1e-12)
     assert out.entries[1, 0, 0, 1].real == pytest.approx(t * r, abs=1e-12)
+
+
+def test_beam_splitter_hong_ou_mandel():
+    # |1, 1> on a balanced beam splitter: the two photons leave together
+    d = 4
+    inp = tensor_product(make_state("fock", d, n=1), make_state("fock", d, n=1))
+    out = apply_beam_splitter(inp, BeamSplitterConfig(1 / math.sqrt(2)))
+    joint = np.einsum("j,jpr->pr", out.weights, np.abs(out.kets) ** 2)
+    assert joint[1, 1] <= 1e-14
+    assert joint[2, 0] == pytest.approx(0.5, abs=1e-14)
+    assert joint[0, 2] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_beam_splitter_keeps_vacuum():
@@ -353,6 +365,54 @@ def test_ket_unitaries_match_dense_definition_on_full_blocks(d):
         u = _dense_unitary(gen)
         expect = (u @ dense_in @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         assert np.abs(out.entries - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode_b", ["fock", "coherent"])
+def test_squeezer_on_populated_mode_b_matches_dense_definition(mode_b):
+    # mode B is not vacuum, so a conserved-difference block holds one
+    # populated column (|1> in B) or several (a coherent B)
+    d = 12
+    a1 = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+    a, b = np.kron(a1, eye), np.kron(eye, a1)
+    rho_a = make_state("coherent", d, alpha=0.3 + 0.1j)
+    rho_b = make_state(mode_b, d, **({"n": 1} if mode_b == "fock" else {"alpha": -0.2j}))
+    xi = SqueezerConfig.from_mu(1.1).xi
+    out = apply_two_mode_squeezer(tensor_product(rho_a, rho_b), SqueezerConfig(xi), tail_tol=1.0)
+    u = _dense_unitary(xi * (a.T @ b.T - a @ b))
+    expect = (u @ np.kron(rho_a, rho_b) @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    assert np.abs(out.entries - expect).max() < 1e-12
+
+
+def _expm_eigh_phase(s):
+    # with P = diag(i^j), P^dag G P = -i T for the real symmetric tridiagonal
+    # T with off-diagonal s, so exp(G) = P v exp(-i w) v^T P^dag
+    w, v = np.linalg.eigh(np.diag(s, -1))
+    phase = np.array([1, 1j, -1, -1j])[np.arange(s.size + 1) % 4]
+    return ((v * np.exp(-1j * w)) @ v.T) * np.outer(phase, phase.conj())
+
+
+COUPLINGS = {
+    "displacement": lambda n: 0.8 * np.sqrt(np.arange(1.0, n)),
+    "squeezer": lambda n: 0.44 * np.sqrt(np.arange(1.0, n) * np.arange(3.0, n + 2)),
+    "beam_splitter": lambda n: -0.8 * np.sqrt(np.arange(1.0, n) * np.arange(n - 1.0, 0, -1)),
+}
+
+
+# 1: no coupling; 2, 64: square B; 3, 65: B with one more even index than
+# odd ones; 160: the displacement of make_state at cutoff 64
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 160])
+@pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+def test_expm_tridiagonal_is_real_orthogonal_and_matches_eigh_with_phase(n, coupling):
+    s = COUPLINGS[coupling](n)
+    e = _expm_tridiagonal(s)
+    assert e.dtype == np.float64 and e.shape == (n, n)
+    assert np.abs(e @ e.T - np.eye(n)).max() <= 1e-14
+    assert np.abs(e - _expm_eigh_phase(s)).max() <= 1e-13
+    cols = np.unique([n - 1, 0, n // 2])
+    part = _expm_tridiagonal(s, cols)
+    assert part.shape == (n, cols.size)
+    assert np.abs(part - e[:, cols]).max() <= 1e-15
 
 
 def test_moment_matches_matrix_power_definition():
