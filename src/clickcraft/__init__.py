@@ -3,6 +3,11 @@
 Heralded state preparation, multi-photon subtraction and addition, and their
 composition into a click-conditioned amplifier, with closed phase-space forms
 cross-checked by a truncated-Fock-space oracle.
+
+The production path is ``dsymbol``, ``povm``, ``pfunc``, ``processes`` and
+``cli``.  The paper-style cross-checks -- the kernel's direct and exact sums
+and the alternating closed forms -- live in ``clickcraft.validation``, which
+this package does not import; the Fock oracle is ``clickcraft.fock``.
 """
 
 from .dsymbol import (
@@ -10,8 +15,6 @@ from .dsymbol import (
     DSymbolParams,
     DSymbolTable,
     NumericalError,
-    d_direct,
-    d_exact,
     d_recursive,
 )
 from .fock import (
@@ -57,12 +60,9 @@ from .processes import (
     SubtractionSpec,
     add,
     amplify,
-    amplify_closed_form,
     effective_sigma2,
     herald_tmsv_distribution,
     nu_for_sigma2,
-    probability_addition_displaced_thermal,
-    probability_subtraction_displaced_thermal,
     probability_table,
     subtract,
 )

@@ -197,6 +197,7 @@ def _complex_from(value, what: str) -> complex:
 
 def _detector_from(node) -> DetectorConfig:
     n_diodes = _integer(_require(node, "N"), "detector N")
+    _known_fields(node, ("N", "eta"), "a detector")
     return DetectorConfig(n_diodes, _real(_require(node, "eta"), "detector eta"))
 
 
@@ -204,14 +205,19 @@ def _squeezer_from(optics) -> SqueezerConfig:
     """A pair source given by its gain ``mu`` or its squeezing strength ``xi``,
     not both."""
     if isinstance(optics, dict) and "mu" in optics:
+        _known_fields(optics, ("mu", "xi"), "a pair source")
         if "xi" in optics:
             raise ConfigError("a pair source takes its gain mu or its strength xi, not both")
         return SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
-    return SqueezerConfig(_real(_require(optics, "xi"), "optics xi"))
+    xi = _require(optics, "xi")
+    _known_fields(optics, ("mu", "xi"), "a pair source")
+    return SqueezerConfig(_real(xi, "optics xi"))
 
 
 def _beam_splitter_from(optics) -> BeamSplitterConfig:
-    return BeamSplitterConfig(_real(_require(optics, "t"), "optics t"))
+    t = _require(optics, "t")
+    _known_fields(optics, ("t",), "a beam splitter")
+    return BeamSplitterConfig(_real(t, "optics t"))
 
 
 def _probs_from(value, what: str) -> np.ndarray:
@@ -249,6 +255,7 @@ _GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 def _grid_from(node) -> GridSpec:
     values = [_require(node, key) for key in _GRID_FIELDS]
+    _known_fields(node, _GRID_FIELDS, "a grid")
     extents = [_real(v, f"grid {key}") for v, key in zip(values[:4], _GRID_FIELDS)]
     counts = [_integer(v, f"grid {key}") for v, key in zip(values[4:], _GRID_FIELDS[4:])]
     return GridSpec(*extents, *counts)
@@ -406,6 +413,8 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     beta = _input_from(_require(config, "input"), ("coherent",), "amplify")[1]["alpha"]
     add_node = _require(config, "addition")
     sub_node = _require(config, "subtraction")
+    _known_fields(add_node, ("detector", "optics"), "an amplify addition stage")
+    _known_fields(sub_node, ("detector", "optics"), "an amplify subtraction stage")
     sq = _squeezer_from(_require(add_node, "optics"))
     bs = _beam_splitter_from(_require(sub_node, "optics"))
     det1 = _detector_from(_require(add_node, "detector"))

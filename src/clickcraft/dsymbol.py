@@ -17,23 +17,21 @@ and sum to one over k.
 
 The direct sum cancels catastrophically (for k = m the result is smaller than
 the largest term by a factor of roughly k! * (sigma / (N*tau + sigma*k))^k),
-so three routes are provided:
+so the production route is the recursion:
 
-* ``d_recursive`` -- default path; double precision with compensated
-  (error-tracked) accumulation.  Forward stable in the probability regime
-  where all mixing coefficients are non-negative.  Tables are filled row by
-  row in Python floats, at about 1 us per cell.
-* ``d_direct`` -- the alternating sum, evaluated with error-free transforms
-  (double-double powers, exact splitting of the integer coefficients) and an
-  exact final summation.  Test/cross-check path.
-* ``d_exact`` -- big-integer rational evaluation.  Validation oracle.
+* ``d_recursive`` -- double precision with compensated (error-tracked)
+  accumulation.  Forward stable in the probability regime where all mixing
+  coefficients are non-negative.  Tables are filled row by row in Python
+  floats, at about 1 us per cell.
+
+The direct sum itself, in error-free transforms (``d_direct``) and in exact
+rationals (``d_exact``), lives in ``clickcraft.validation`` as cross-checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,57 +47,12 @@ class CutoffError(NumericalError):
     """The requested truncation cannot represent the state to the tail tolerance."""
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    s, t = _two_sum(p, e)
-    return s, t
-
-
-def _dd_pow(xh: float, xl: float, n: int) -> tuple[float, float]:
-    rh, rl = 1.0, 0.0
-    bh, bl = xh, xl
-    while n > 0:
-        if n & 1:
-            rh, rl = _dd_mul(rh, rl, bh, bl)
-        n >>= 1
-        if n:
-            bh, bl = _dd_mul(bh, bl, bh, bl)
-    return rh, rl
-
-
-def _dd_base(tau: float, sigma: float, j: int, n_diodes: int) -> tuple[float, float]:
-    """tau + sigma*j/N as a double-double, tracking the division remainder."""
-    qh = j / n_diodes
-    p, e = _two_prod(qh, float(n_diodes))
-    ql = ((j - p) - e) / n_diodes
-    # sigma * (qh, ql)
-    sh, se = _two_prod(sigma, qh)
-    se += sigma * ql
-    # + tau
-    hi, lo = _two_sum(tau, sh)
-    lo += se
-    return _two_sum(hi, lo)
+def check_count(value, what: str, least: int = 1) -> None:
+    """A count (of diodes, of grid cells, of photons) is an int or a numpy
+    integer >= ``least``; a bool, a float or anything else raises
+    ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +64,7 @@ class DSymbolParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"need at least one diode, got N={self.N}")
+        check_count(self.N, "the diode count N")
         if not (math.isfinite(self.tau) and math.isfinite(self.sigma)):
             raise ValueError("tau and sigma must be finite")
 
@@ -130,68 +82,6 @@ class DSymbolTable:
     @property
     def mmax(self) -> int:
         return self.values.shape[1] - 1
-
-
-def _check_indices(params: DSymbolParams, k: int, m: int) -> None:
-    if k < 0 or m < 0:
-        raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
-    if k > params.N:
-        raise ValueError(f"k={k} exceeds the number of diodes N={params.N}")
-
-
-def d_direct(params: DSymbolParams, k: int, m: int) -> float:
-    """Evaluate D[k, m] by the alternating binomial sum.
-
-    Powers are computed in double-double arithmetic and the integer binomial
-    coefficients are split exactly, so the summation itself introduces no
-    error beyond the final rounding; this keeps the heavy cancellation of the
-    alternating sum under control.
-    """
-    _check_indices(params, k, m)
-    pieces: list[float] = []
-    cnk = math.comb(params.N, k)
-    for j in range(k + 1):
-        coeff = cnk * math.comb(k, j)
-        if (k - j) & 1:
-            coeff = -coeff
-        bh, bl = _dd_base(params.tau, params.sigma, j, params.N)
-        ph, pl = _dd_pow(bh, bl, m)
-        ch = float(coeff)
-        cl = float(coeff - int(ch))
-        for c in (ch, cl):
-            if c == 0.0:
-                continue
-            p, e = _two_prod(c, ph)
-            pieces.append(p)
-            pieces.append(e)
-            pieces.append(c * pl)
-    return math.fsum(pieces)
-
-
-def d_exact(
-    n_diodes: int,
-    tau: Fraction | int | str | float,
-    sigma: Fraction | int | str | float,
-    k: int,
-    m: int,
-) -> Fraction:
-    """Exact rational evaluation of the direct sum.
-
-    ``tau`` and ``sigma`` are taken as exact rationals; floats are converted
-    via their exact binary value, which is what the floating-point routes
-    actually operate on.
-    """
-    params = DSymbolParams(n_diodes, float(Fraction(tau)), float(Fraction(sigma)))
-    _check_indices(params, k, m)
-    tau_q = Fraction(tau)
-    sigma_q = Fraction(sigma)
-    total = Fraction(0)
-    cnk = math.comb(n_diodes, k)
-    for j in range(k + 1):
-        base = tau_q + sigma_q * j / n_diodes
-        term = cnk * math.comb(k, j) * base**m
-        total += -term if (k - j) & 1 else term
-    return total
 
 
 def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsymbol import CutoffError
+from .dsymbol import CutoffError, check_count
 from .pfunc import check_displaced_thermal
 from .povm import DetectorConfig, click_povm_element
 from .processes import _KIND_KEYWORDS, DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome
@@ -150,8 +150,7 @@ def make_state(
             raise ValueError(f"a {kind} state takes no {name}, got {name}={value!r}")
     d = cutoff
     if kind in ("vacuum", "fock"):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"photon number n must be an integer >= 0, got n={n!r}")
+        check_count(n, "photon number n", 0)
         if n >= d:
             raise CutoffError(f"|{n}> needs cutoff > {n}, got {d}")
         rho = np.zeros((d, d), dtype=complex)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsymbol import NumericalError
+from .dsymbol import NumericalError, check_count
 
 PRUNE_RELATIVE = 1e-15
 MAX_MOMENT_ORDER = 6
@@ -323,8 +323,8 @@ class GridSpec:
         extents = (self.re_min, self.re_max, self.im_min, self.im_max)
         if not all(map(math.isfinite, extents)):
             raise ValueError(f"grid extents must be finite, got {extents}")
-        if self.n_re < 1 or self.n_im < 1:
-            raise ValueError("grid must have at least one cell per axis")
+        check_count(self.n_re, "the grid's n_re")
+        check_count(self.n_im, "the grid's n_im")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("grid extents must be non-empty")
 

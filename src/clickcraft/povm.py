@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsymbol import DSymbolParams, DSymbolTable, d_recursive
+from .dsymbol import DSymbolParams, DSymbolTable, check_count, d_recursive
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class DetectorConfig:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"need at least one diode, got N={self.N}")
+        check_count(self.N, "the diode count N")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
 

@@ -21,6 +21,10 @@ forms for click-conditioned thermal states (including the noise scaling
 nbar0 = mu^2 (nbar + 1) - 1 and the k = 0 output variance
 sigma^2 = nu^2 (1 - eta) / (1 + eta nu^2)) and agrees with the truncated-Fock
 oracle; applying the factor on the P side directly does not.
+
+The alternating closed forms that cross-check these pipelines
+(``amplify_closed_form`` and the displaced-thermal click probabilities) live
+in ``clickcraft.validation``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .dsymbol import CutoffError, NumericalError
 from .povm import DetectorConfig, click_kernel_table
 from .pfunc import (
     PhaseSpaceMixture,
-    check_displaced_thermal,
     convolve_noise,
     husimi_smooth,
     husimi_unsmooth,
@@ -111,8 +114,9 @@ class SqueezerConfig:
 class ProcessOutcome:
     """Unnormalized conditional state plus its trace = probability of the event.
 
-    Rare click patterns can land a hair below zero through roundoff of the
-    alternating closed forms; anything beyond 1e-9 is rejected.
+    The probability is the pipeline's ``integral`` of the output mixture, or
+    the oracle's trace of the output matrix.  Rare click patterns land a hair
+    below zero through roundoff; anything beyond 1e-9 is rejected.
     """
 
     state: object  # PhaseSpaceMixture, or a one-mode (d, d) array of fock
@@ -207,8 +211,8 @@ def herald_tmsv_distribution(
     The joint state is diagonal, (1-omega) sum omega^n |n,n><n,n| with
     0 < omega < 1, so conditioning on k clicks gives the closed form
     p_n = (1-omega) omega^n D[k, n] without any Fock-space truncation beyond
-    the geometric tail.  An explicit ``cutoff`` that leaves more than the
-    oracle's tail tolerance, omega**cutoff > 1e-10, raises ``CutoffError``.
+    the geometric tail.  An explicit ``cutoff`` that leaves a tail above
+    ``DEFAULT_TAIL_TOL``, omega**cutoff > 1e-10, raises ``CutoffError``.
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
@@ -264,96 +268,6 @@ def amplify(
     if not isinstance(state, PhaseSpaceMixture):
         state = PhaseSpaceMixture.coherent(complex(state))
     return subtract(add(state, spec.add).state, spec.sub)
-
-
-def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
-    """Direct coefficient construction of the (k1, k2) output for a coherent
-    input; validation channel for ``amplify`` (the two agree identically).
-
-    Each (j1, j2) term of the double binomial expansion is the Gaussian
-    (f / pi) exp(-l2 |alpha|^2 + 2 l1 Re(alpha conj(beta)) - l0 |beta|^2)
-    completed to center (l1 / l2) beta.
-    """
-    beta = complex(beta)
-    mu, nu = spec.add.sq.mu, spec.add.sq.nu
-    t, r = spec.sub.bs.t, spec.sub.bs.r
-    n1, eta1, k1 = spec.add.det.N, spec.add.det.eta, spec.add.k
-    n2, eta2, k2 = spec.sub.det.N, spec.sub.det.eta, spec.sub.k
-    b2 = abs(beta) ** 2
-
-    cs, zs, widths = [], [], []
-    try:
-        for j1 in range(k1 + 1):
-            den = nu**2 * (1.0 - eta1 * (1.0 - j1 / n1))
-            lam1 = mu / (t * den)
-            lam0 = 1.0 + 1.0 / den
-            for j2 in range(k2 + 1):
-                f = (
-                    math.comb(n1, k1)
-                    * math.comb(n2, k2)
-                    * math.comb(k1, j1)
-                    * math.comb(k2, j2)
-                    * (-1 if (k1 - j1 + k2 - j2) & 1 else 1)
-                    / (t**2 * den)
-                )
-                lam2 = (1.0 + eta1 * nu**2 * (1.0 - j1 / n1)) / (t**2 * den) + (
-                    eta2 * r**2 * (1.0 - j2 / n2) / t**2
-                )
-                cs.append((f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2))
-                zs.append((lam1 / lam2) * beta)
-                widths.append(lam2)
-    except OverflowError as exc:  # a binomial coefficient, or an exponential, past the float range
-        raise NumericalError(f"the ({k1}, {k2})-click closed form leaves the float range") from exc
-    return PhaseSpaceMixture.from_fields(cs, zs, widths)
-
-
-# ---------------------------------------------------------------------------
-# closed-form probabilities (displaced thermal inputs)
-# ---------------------------------------------------------------------------
-
-
-def _gamma_sum(alpha0: complex, nbar: float, scale: float, n_diodes: int, k: int) -> float:
-    """The alternating sum of both closed forms, with lam_j = scale (1 - j/N),
-    gamma_j = 1 + lam_j nbar and exponent lam_j |alpha0|^2 / gamma_j."""
-    lam = scale * (1.0 - np.arange(k + 1) / n_diodes)
-    gammas = 1.0 + lam * nbar
-    exponents = lam * abs(alpha0) ** 2 / gammas
-    try:
-        return math.fsum([
-            math.comb(n_diodes, k)
-            * math.comb(k, j)
-            * (-1 if (k - j) & 1 else 1)
-            * math.exp(-exponents[j])
-            / gammas[j]
-            for j in range(k + 1)
-        ])
-    except OverflowError as exc:  # a binomial coefficient past the float range
-        raise NumericalError(f"the {k}-click closed form of N={n_diodes} leaves the float range") from exc
-
-
-def probability_subtraction_displaced_thermal(
-    alpha0: complex, nbar: float, spec: SubtractionSpec
-) -> float:
-    """Probability of k clicks when subtracting from a displaced thermal state.
-
-    Closed form with gamma_j = 1 + eta r^2 nbar (1 - j/N); the exponent is
-    written as eta r^2 (1 - j/N) |alpha0|^2 / gamma_j, which carries the
-    nbar -> 0 (coherent input) limit without any 0/0.
-    """
-    check_displaced_thermal(alpha0, nbar)
-    return _gamma_sum(alpha0, nbar, spec.det.eta * spec.bs.r**2, spec.det.N, spec.k)
-
-
-def probability_addition_displaced_thermal(
-    alpha0: complex, nbar: float, spec: AdditionSpec
-) -> float:
-    """Probability of k clicks when adding onto a displaced thermal state.
-
-    gamma_j = 1 + eta nu^2 (nbar + 1) (1 - j/N); the exponent
-    eta nu^2 (1 - j/N) |alpha0|^2 / gamma_j is regular for every nbar >= 0.
-    """
-    check_displaced_thermal(alpha0, nbar)
-    return _gamma_sum(alpha0, nbar + 1.0, spec.det.eta * spec.sq.nu**2, spec.det.N, spec.k)
 
 
 def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:

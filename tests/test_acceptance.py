@@ -35,8 +35,6 @@ from clickcraft import (
     apply_two_mode_squeezer,
     click_povm_element,
     condition_on_clicks,
-    d_direct,
-    d_exact,
     d_recursive,
     effective_sigma2,
     herald_tmsv_distribution,
@@ -45,13 +43,17 @@ from clickcraft import (
     normally_ordered_moment,
     operator_norm_distance,
     photoelectric_element,
-    probability_addition_displaced_thermal,
-    probability_subtraction_displaced_thermal,
     probability_table,
     subtract,
     tensor_product,
 )
 from clickcraft.cli import main as cli_main
+from clickcraft.validation import (
+    d_direct,
+    d_exact,
+    probability_addition_displaced_thermal,
+    probability_subtraction_displaced_thermal,
+)
 
 # reference 5x5 probability table (percent), rows = addition clicks k1,
 # columns = subtraction clicks k2, for N1 = N2 = 4, eta1 = eta2 = 0.5,

@@ -380,7 +380,8 @@ def test_non_integer_field_is_parse_error(tmp_path, capsys, case):
 @pytest.mark.parametrize("protocol", ["subtract", "add"])
 def test_empty_click_list_runs(tmp_path, protocol):
     # used to escape as an IndexError from the spec of clicks[0]
-    payload = {**ADD_CONFIG, "protocol": protocol, "optics": {"t": 0.7, "mu": 1.4}, "clicks": []}
+    optics = {"t": 0.7} if protocol == "subtract" else {"mu": 1.4}
+    payload = {**ADD_CONFIG, "protocol": protocol, "optics": optics, "clicks": []}
     out = tmp_path / "out"
     argv = [protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]
     assert main(argv + ["--manifest"]) == 0
@@ -628,13 +629,24 @@ def test_input_field_its_kind_does_not_read_is_parse_error(tmp_path, capsys, cas
     assert not out.exists() or not any(out.iterdir())
 
 
-# each config names a field that no protocol, or no amplify clicks object,
-# reads; each used to exit 0 and drop the field
+# each config names a field that no protocol, amplify clicks object, detector,
+# optics, grid or amplify stage node reads; each used to exit 0 and drop the
+# field
 UNKNOWN_CONFIG_FIELDS = {
     "top_level": ({**ADD_CONFIG, "extra": 1}, "extra"),
     "misspelled_clicks": ({**{k: v for k, v in ADD_CONFIG.items() if k != "clicks"}, "click": 1},
                           "click"),
     "amplify_click_pair": (_amplify_pair_config({"k3": 1}), "k3"),
+    "detector": ({**ADD_CONFIG, "detector": {"N": 4, "eta": 0.8, "etta": 0.1}}, "etta"),
+    "beam_splitter": ({**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7, "xi": 0.3}},
+                      "xi"),
+    "pair_source_mu": ({**ADD_CONFIG, "optics": {"mu": 1.4, "t": 0.7}}, "t"),
+    "pair_source_xi": ({**ADD_CONFIG, "optics": {"xi": 0.3, "t": 0.7}}, "t"),
+    "grid": ({**ADD_CONFIG, "grid": {**SMALL_GRID, "nre": 9}}, "nre"),
+    "amplify_addition": ({**_amplify_pair_config({"k1": 1, "k2": 0}), "addition": {
+        "detector": {"N": 4, "eta": 0.5}, "optics": {"mu": 1.5}, "typo": 1}}, "typo"),
+    "amplify_subtraction": ({**_amplify_pair_config({"k1": 1, "k2": 0}), "subtraction": {
+        "detector": {"N": 4, "eta": 0.5}, "optics": {"t": 0.6}, "typo": 1}}, "typo"),
 }
 
 

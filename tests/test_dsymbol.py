@@ -12,13 +12,12 @@ from clickcraft import (
     DSymbolParams,
     click_kernel_table,
     click_povm_element,
-    d_direct,
-    d_exact,
     d_recursive,
 )
 import clickcraft
 import clickcraft.fock
 from clickcraft.dsymbol import NumericalError
+from clickcraft.validation import d_direct, d_exact
 
 
 def test_direct_initial_value():
@@ -139,6 +138,12 @@ def test_params_validation():
         DSymbolParams(0, 0.5, 0.5)
     with pytest.raises(ValueError):
         DSymbolParams(4, float("nan"), 0.5)
+
+
+@pytest.mark.parametrize("n_diodes", [2.5, 4.0, True, np.float64(4.0)])
+def test_params_diode_count_must_be_an_integer(n_diodes):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        DSymbolParams(n_diodes, 0.5, 0.5)
 
 
 # --- the recursion's bits -----------------------------------------------------

@@ -17,7 +17,6 @@ from clickcraft import (
     SqueezerConfig,
     SubtractionSpec,
     add,
-    amplify_closed_form,
     convolve_noise,
     evaluate_grid,
     husimi_smooth,
@@ -29,6 +28,7 @@ from clickcraft import (
     scale_loss,
     subtract,
 )
+from clickcraft.validation import amplify_closed_form
 
 RNG = np.random.default_rng(20240817)
 
@@ -312,6 +312,16 @@ def test_grid_rejects_empty():
         GridSpec(0, 0, -1, 1, 10, 10)
     with pytest.raises(ValueError):
         GridSpec(-1, 1, -1, 1, 0, 10)
+
+
+@pytest.mark.parametrize("counts", [(2.5, 3), (3, 4.0), (True, 3), (3, np.float64(3.0))])
+def test_grid_cell_counts_must_be_integers(counts):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        GridSpec(-1, 1, -1, 1, *counts)
+
+
+def test_grid_accepts_numpy_integer_cell_counts():
+    assert GridSpec(-1, 1, -1, 1, np.int64(3), np.int32(2)).centers()[1].size == 2
 
 
 # --- pruning and composed-map properties -------------------------------------

@@ -13,7 +13,6 @@ from clickcraft import (
     click_kernel_table,
     click_povm_element,
     click_statistics,
-    d_exact,
     d_recursive,
     make_state,
     operator_norm_distance,
@@ -21,6 +20,7 @@ from clickcraft import (
     photon_distribution,
 )
 from clickcraft import povm
+from clickcraft.validation import d_exact
 
 
 def test_no_click_element_weights():
@@ -268,6 +268,17 @@ def test_detector_validation():
         DetectorConfig(0, 0.5)
     with pytest.raises(ValueError):
         DetectorConfig(4, 1.2)
+
+
+@pytest.mark.parametrize("n_diodes", [2.5, 4.0, True, np.float64(4.0), "4"])
+def test_detector_diode_count_must_be_an_integer(n_diodes):
+    # 2.5 used to give a 2.5-diode detector, and True failed later in numpy
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        DetectorConfig(n_diodes, 0.5)
+
+
+def test_detector_accepts_numpy_integer_diode_count():
+    assert click_statistics([0.0, 1.0], DetectorConfig(np.int64(4), 0.5)).probs[1] == 0.5
 
 
 def _counted_weights(monkeypatch, limit=10**5):

@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from clickcraft import (
     SubtractionSpec,
     add,
     amplify,
-    amplify_closed_form,
     apply_beam_splitter,
     apply_two_mode_squeezer,
     condition_on_clicks,
@@ -35,11 +37,14 @@ from clickcraft import (
     normally_ordered_moment,
     nu_for_sigma2,
     photon_distribution,
-    probability_addition_displaced_thermal,
-    probability_subtraction_displaced_thermal,
     probability_table,
     subtract,
     tensor_product,
+)
+from clickcraft.validation import (
+    amplify_closed_form,
+    probability_addition_displaced_thermal,
+    probability_subtraction_displaced_thermal,
 )
 
 RNG = np.random.default_rng(7)
@@ -543,6 +548,35 @@ def test_no_module_imports_a_private_name_of_the_fock_oracle():
             if isinstance(node, ast.ImportFrom) and _modules_named(node) & {".fock", "clickcraft.fock"}:
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, (path.name, node.lineno, private)
+
+
+PRODUCTION_MODULES = ["dsymbol", "povm", "pfunc", "processes", "cli"]
+
+
+@pytest.mark.parametrize("module", PRODUCTION_MODULES)
+def test_production_modules_do_not_import_the_validation_routes(module):
+    # nowhere, function bodies included: the cross-checks stay off the production path
+    tree = ast.parse(Path(clickcraft.__file__).with_name(f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not {".validation", "clickcraft.validation"} & _modules_named(node), (
+                module, node.lineno)
+
+
+def test_package_and_production_modules_hold_no_validation_route():
+    moved = ("d_direct", "d_exact", "amplify_closed_form",
+             "probability_subtraction_displaced_thermal", "probability_addition_displaced_thermal")
+    for module in [clickcraft] + [importlib.import_module(f"clickcraft.{m}") for m in PRODUCTION_MODULES]:
+        assert not [name for name in moved if hasattr(module, name)], module.__name__
+
+
+def test_importing_the_package_and_cli_leaves_out_the_validation_module():
+    src = str(Path(clickcraft.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, clickcraft, clickcraft.cli; print('clickcraft.validation' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_process_types_are_defined_by_processes():
