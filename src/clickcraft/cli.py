@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsymbol import NumericalError
+from .dsymbol import NumericalError, check_clicks
 from .fock import make_state, photon_distribution
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
 from .povm import DetectorConfig, click_statistics, operator_norm_distance
@@ -56,15 +56,15 @@ from .processes import (
 # the fields of each input kind besides ``kind``: a ``probs`` list, or the
 # keywords of a state of ``make_state``; an input node holds no other field
 _INPUT_FIELDS = {"photon_distribution": ("probs",), **_KIND_KEYWORDS}
-# the top-level fields each protocol reads besides schema, protocol and
-# format; its config holds no other field
+# the top-level fields each protocol requires, and those it may hold, besides
+# schema, protocol and format; its config holds no other field
 _CONFIG_FIELDS = {
-    "herald": ("input", "detector", "clicks", "cutoff"),
-    "subtract": ("input", "detector", "optics", "clicks", "grid"),
-    "add": ("input", "detector", "optics", "clicks", "grid"),
-    "amplify": ("input", "addition", "subtraction", "clicks", "grid"),
-    "clickstats": ("input", "detector"),
-    "errorbound": ("eta", "k", "N", "cutoff"),
+    "herald": (("input", "detector"), ("clicks", "cutoff")),
+    "subtract": (("input", "detector", "optics"), ("clicks", "grid")),
+    "add": (("input", "detector", "optics"), ("clicks", "grid")),
+    "amplify": (("input", "addition", "subtraction"), ("clicks", "grid")),
+    "clickstats": (("input", "detector"), ()),
+    "errorbound": (("eta", "k", "N"), ("cutoff",)),
 }
 
 
@@ -151,27 +151,32 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _require(node, key: str) -> object:
-    """Field ``key`` of a config node, which must be an object holding it."""
+def _node(node, what: str, required=(), optional=()) -> dict:
+    """A config node: an object that holds no field outside ``required`` and
+    ``optional``, and every field of ``required``."""
     if not isinstance(node, dict):
-        raise ConfigError(f"expected an object with the {key!r} field, got {node!r}")
-    if key not in node:
-        raise ConfigError(f"config is missing the {key!r} field")
-    return node[key]
+        raise ConfigError(f"{what} must be an object, got {node!r}")
+    for key in node:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{what} takes no {key!r} field")
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{what} is missing the {key!r} field")
+    return node
 
 
 def _integer(value, what: str) -> int:
-    """An integer field: an int, an integral float or integer text (a flag
-    value).  A bool, a fractional number or other text is a config error."""
+    """An integer field: an int, an integral float or the JSON text of one (a
+    flag value).  A bool, a fractional number or other text is a config error."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except ValueError:
+            pass
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
@@ -196,41 +201,29 @@ def _complex_from(value, what: str) -> complex:
 
 
 def _detector_from(node) -> DetectorConfig:
-    n_diodes = _integer(_require(node, "N"), "detector N")
-    _known_fields(node, ("N", "eta"), "a detector")
-    return DetectorConfig(n_diodes, _real(_require(node, "eta"), "detector eta"))
+    node = _node(node, "a detector", ("N", "eta"))
+    return DetectorConfig(_integer(node["N"], "detector N"), _real(node["eta"], "detector eta"))
 
 
 def _squeezer_from(optics) -> SqueezerConfig:
     """A pair source given by its gain ``mu`` or its squeezing strength ``xi``,
     not both."""
-    if isinstance(optics, dict) and "mu" in optics:
-        _known_fields(optics, ("mu", "xi"), "a pair source")
+    optics = _node(optics, "a pair source", optional=("mu", "xi"))
+    if "mu" in optics:
         if "xi" in optics:
             raise ConfigError("a pair source takes its gain mu or its strength xi, not both")
         return SqueezerConfig.from_mu(_real(optics["mu"], "optics mu"))
-    xi = _require(optics, "xi")
-    _known_fields(optics, ("mu", "xi"), "a pair source")
-    return SqueezerConfig(_real(xi, "optics xi"))
+    return SqueezerConfig(_real(_node(optics, "a pair source", ("xi",))["xi"], "optics xi"))
 
 
 def _beam_splitter_from(optics) -> BeamSplitterConfig:
-    t = _require(optics, "t")
-    _known_fields(optics, ("t",), "a beam splitter")
-    return BeamSplitterConfig(_real(t, "optics t"))
+    return BeamSplitterConfig(_real(_node(optics, "a beam splitter", ("t",))["t"], "optics t"))
 
 
 def _probs_from(value, what: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
     return np.asarray([_real(v, what) for v in value])
-
-
-def _known_fields(node: dict, known, what: str) -> None:
-    """A field of ``node`` not in ``known`` is a config error."""
-    for key in node:
-        if key not in known:
-            raise ConfigError(f"{what} takes no {key!r} field")
 
 
 _FIELD_PARSERS = {"alpha": _complex_from, "nbar": _real, "omega": _real, "n": _integer,
@@ -241,12 +234,12 @@ def _input_from(node, kinds: tuple[str, ...], what: str, optional=()) -> tuple[s
     """The kind of an input node, one of ``kinds``, and its fields by name,
     parsed.  A field its kind does not read, other than one of ``optional``,
     is a config error."""
-    kind = _require(node, "kind")
+    kind = node.get("kind") if isinstance(node, dict) else None
     if kind not in kinds:
         raise ConfigError(f"{what} input kind must be one of {', '.join(kinds)}, got {kind!r}")
     fields = _INPUT_FIELDS[kind]
-    _known_fields(node, ("kind", *fields, *optional), f"a {kind} input")
-    return kind, {key: _FIELD_PARSERS[key](_require(node, key), key) for key in fields}
+    node = _node(node, f"a {kind} input", ("kind", *fields), optional)
+    return kind, {key: _FIELD_PARSERS[key](node[key], key) for key in fields}
 
 
 # GridSpec's fields in order: four extents, then two cell counts
@@ -254,10 +247,9 @@ _GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 
 def _grid_from(node) -> GridSpec:
-    values = [_require(node, key) for key in _GRID_FIELDS]
-    _known_fields(node, _GRID_FIELDS, "a grid")
-    extents = [_real(v, f"grid {key}") for v, key in zip(values[:4], _GRID_FIELDS)]
-    counts = [_integer(v, f"grid {key}") for v, key in zip(values[4:], _GRID_FIELDS[4:])]
+    node = _node(node, "a grid", _GRID_FIELDS)
+    extents = [_real(node[key], f"grid {key}") for key in _GRID_FIELDS[:4]]
+    counts = [_integer(node[key], f"grid {key}") for key in _GRID_FIELDS[4:]]
     return GridSpec(*extents, *counts)
 
 
@@ -276,8 +268,7 @@ def _clicks_list(node, n_max: int) -> list[int]:
         return list(range(n_max + 1))
     clicks = [_integer(k, "clicks") for k in (node if isinstance(node, list) else [node])]
     for k in clicks:
-        if not 0 <= k <= n_max:
-            raise ValueError(f"click number k={k} outside 0..{n_max}")
+        check_clicks(k, n_max)
     return list(dict.fromkeys(clicks))
 
 
@@ -357,9 +348,9 @@ def _write_distribution(
 
 
 def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    _, fields = _input_from(_require(config, "input"), ("phase_diffused_tmsv",), "herald")
+    _, fields = _input_from(config["input"], ("phase_diffused_tmsv",), "herald")
     omega = fields["omega"]
-    det = _detector_from(_require(config, "detector"))
+    det = _detector_from(config["detector"])
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = config.get("cutoff")
     if cutoff is not None:
@@ -381,11 +372,11 @@ def _conditioning_protocol(
     protocol: str, config: dict, outdir: Path, fmt: str, grid: GridSpec | None
 ) -> tuple[list[str], dict]:
     kinds = ("vacuum", "coherent", "thermal", "displaced_thermal")
-    kind, fields = _input_from(_require(config, "input"), kinds, protocol)
+    kind, fields = _input_from(config["input"], kinds, protocol)
     # each kind's constructor takes its fields in the table's order
     p_in = getattr(PhaseSpaceMixture, kind)(*fields.values())
-    det = _detector_from(_require(config, "detector"))
-    optics = _require(config, "optics")
+    det = _detector_from(config["detector"])
+    optics = config["optics"]
     if protocol == "subtract":
         bs = _beam_splitter_from(optics)
         spec, run = SubtractionSpec(bs, det, 0), subtract
@@ -410,21 +401,17 @@ def _conditioning_protocol(
 
 
 def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    beta = _input_from(_require(config, "input"), ("coherent",), "amplify")[1]["alpha"]
-    add_node = _require(config, "addition")
-    sub_node = _require(config, "subtraction")
-    _known_fields(add_node, ("detector", "optics"), "an amplify addition stage")
-    _known_fields(sub_node, ("detector", "optics"), "an amplify subtraction stage")
-    sq = _squeezer_from(_require(add_node, "optics"))
-    bs = _beam_splitter_from(_require(sub_node, "optics"))
-    det1 = _detector_from(_require(add_node, "detector"))
-    det2 = _detector_from(_require(sub_node, "detector"))
+    beta = _input_from(config["input"], ("coherent",), "amplify")[1]["alpha"]
+    add_node = _node(config["addition"], "an amplify addition stage", ("detector", "optics"))
+    sub_node = _node(config["subtraction"], "an amplify subtraction stage", ("detector", "optics"))
+    sq, det1 = _squeezer_from(add_node["optics"]), _detector_from(add_node["detector"])
+    bs, det2 = _beam_splitter_from(sub_node["optics"]), _detector_from(sub_node["detector"])
     spec = AmplifySpec(AdditionSpec(sq, det1, 0), SubtractionSpec(bs, det2, 0))
     # the grid's click pairs, {"k1": ..., "k2": ...} or one value for both
     # stages, parsed before any output is written
     node = config.get("clicks", "all")
     pair = node if isinstance(node, dict) else {"k1": node, "k2": node}
-    _known_fields(pair, ("k1", "k2"), "an amplify clicks object")
+    _node(pair, "an amplify clicks object", optional=("k1", "k2"))
     k1_list, k2_list = _clicks_list(pair.get("k1"), det1.N), _clicks_list(pair.get("k2"), det2.N)
 
     table = probability_table(spec, beta)
@@ -455,17 +442,17 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
 
 
 def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    inp = _require(config, "input")
+    inp = config["input"]
     # a photon distribution, or a one-mode state of ``make_state`` with its cutoff
     kinds = tuple(k for k in _INPUT_FIELDS if k != "phase_diffused_tmsv")
-    fock_space = _require(inp, "kind") != "photon_distribution"
+    fock_space = isinstance(inp, dict) and inp.get("kind") != "photon_distribution"
     kind, fields = _input_from(inp, kinds, "clickstats", ("cutoff",) if fock_space else ())
     if fock_space:
         cutoff = _integer(inp.get("cutoff", 64), "cutoff")
         probs = photon_distribution(make_state(kind, cutoff, **fields))
     else:
         probs = fields["probs"]
-    det = _detector_from(_require(config, "detector"))
+    det = _detector_from(config["detector"])
     dist = click_statistics(probs, det)
     columns = {"k": np.arange(det.N + 1), "probability": dist.probs}
     files = _write_distribution(outdir, "click_distribution", fmt, columns)
@@ -473,9 +460,9 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
 
 
 def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
-    eta = _real(_require(config, "eta"), "eta")
-    k = _integer(_require(config, "k"), "k")
-    n_node = _require(config, "N")
+    eta = _real(config["eta"], "eta")
+    k = _integer(config["k"], "k")
+    n_node = config["N"]
     if not isinstance(n_node, list):
         raise ConfigError(f"N must be a list of diode counts, got {n_node!r}")
     n_values = [_integer(n, "diode counts N") for n in n_node]
@@ -513,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON parameter file (schema 1)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
+        p.add_argument("--format", help="tabular output format, csv or json")
         p.add_argument("--grid", help="re0,re1,im0,im1,nre,nim grid override")
         p.add_argument("--manifest", action="store_true", help="write manifest.json")
         if name == "errorbound":
-            p.add_argument("--eta", type=float)
-            p.add_argument("--k", type=int)
+            p.add_argument("--eta")
+            p.add_argument("--k")
             p.add_argument("--N", help="comma-separated diode counts")
-            p.add_argument("--cutoff", type=int)
+            p.add_argument("--cutoff")
     return parser
 
 
@@ -533,16 +520,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"config is for protocol {config.get('protocol')!r}, "
                 f"not {args.protocol!r}"
             )
-        fields = _CONFIG_FIELDS[args.protocol]
-        if (args.grid is not None or "grid" in config) and "grid" not in fields:
+        required, optional = _CONFIG_FIELDS[args.protocol]
+        if (args.grid is not None or "grid" in config) and "grid" not in optional:
             raise ConfigError(f"{args.protocol} renders no P function and takes no grid")
-        _known_fields(config, ("schema", "protocol", "format", *fields), f"a {args.protocol} config")
         # flag overrides
         for key in ("eta", "k", "N", "cutoff") if args.protocol == "errorbound" else ():
             value = getattr(args, key)
             if value is not None:
                 config[key] = value.split(",") if key == "N" else value
-        fmt = args.format or config.get("format", "csv")
+        _node(config, f"a {args.protocol} config", required,
+              ("schema", "protocol", "format", *optional))
+        fmt = config.get("format", "csv") if args.format is None else args.format
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
         grid = None

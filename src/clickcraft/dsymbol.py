@@ -55,6 +55,12 @@ def check_count(value, what: str, least: int = 1) -> None:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+def check_clicks(k, n) -> None:
+    """A click number of n diodes is an int or a numpy integer in 0..n."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise ValueError(f"click number k={k!r} outside 0..{n}")
+
+
 @dataclass(frozen=True)
 class DSymbolParams:
     """Kernel parameters: N on-off diodes and the exponential weights (tau, sigma)."""
@@ -95,10 +101,8 @@ def d_recursive(params: DSymbolParams, kmax: int, mmax: int) -> DSymbolTable:
     A table that leaves the float range (large |tau| or sigma) raises
     ``NumericalError``; in the detector regime tau + sigma = 1 it cannot.
     """
-    if kmax < 0 or mmax < 0:
-        raise ValueError("table bounds must be non-negative")
-    if kmax > params.N:
-        raise ValueError(f"kmax={kmax} exceeds the number of diodes N={params.N}")
+    check_clicks(kmax, params.N)
+    check_count(mmax, "mmax", 0)
 
     n = params.N
     karr = np.arange(1, kmax + 1, dtype=float)

@@ -141,8 +141,7 @@ def make_state(
     and ValueError for a keyword the kind does not read that is not 0, an n
     not an integer >= 0, an alpha not finite or an nbar not finite and >= 0.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
+    check_count(cutoff, "cutoff")
     if kind not in _KIND_KEYWORDS:
         raise ValueError(f"unknown state kind {kind!r}")
     for name, value in (("alpha", alpha), ("nbar", nbar), ("omega", omega), ("n", n)):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsymbol import NumericalError, check_count
+from .dsymbol import NumericalError, check_clicks, check_count
 
 PRUNE_RELATIVE = 1e-15
 MAX_MOMENT_ORDER = 6
@@ -250,10 +250,8 @@ def multiply_click_factor(
     """
     if eta_eff < 0:
         raise ValueError(f"effective efficiency must be >= 0, got {eta_eff}")
-    if n_diodes < 1:
-        raise ValueError(f"need at least one diode, got N={n_diodes}")
-    if not 0 <= k <= n_diodes:
-        raise ValueError(f"click number k={k} outside 0..{n_diodes}")
+    check_count(n_diodes, "the diode count N (at least one diode)")
+    check_clicks(k, n_diodes)
     if eta_eff == 0.0:
         # no conditioning power: factor is 1 for k = 0 and 0 for k >= 1
         return mixture if k == 0 else PhaseSpaceMixture(dropped=mixture.dropped)

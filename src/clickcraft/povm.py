@@ -24,7 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsymbol import DSymbolParams, DSymbolTable, check_count, d_recursive
+from .dsymbol import DSymbolParams, DSymbolTable, check_clicks, check_count, d_recursive
+
+
+def check_efficiency(eta: float) -> None:
+    """A quantum efficiency lies in [0, 1]; NaN and anything outside raise ``ValueError``."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"quantum efficiency must lie in [0, 1], got {eta}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         check_count(self.N, "the diode count N")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"quantum efficiency must lie in [0, 1], got {self.eta}")
+        check_efficiency(self.eta)
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,8 @@ def _full_kernel_table(det: DetectorConfig, cutoff: int) -> DSymbolTable:
 def click_povm_element(det: DetectorConfig, k: int, cutoff: int) -> np.ndarray:
     """Diagonal weights of Pi_k on the truncated Fock basis |0..cutoff-1>:
     a read-only row of the cached kernel table, not a copy."""
-    if not 0 <= k <= det.N:
-        raise ValueError(f"click number k={k} outside 0..{det.N}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
+    check_clicks(k, det.N)
+    check_count(cutoff, "cutoff")
     return _full_kernel_table(det, cutoff).values[k]
 
 
@@ -136,12 +139,9 @@ def photoelectric_element(eta: float, k: int, cutoff: int) -> np.ndarray:
     At eta = 1 this is the k-photon projector.  Defined for every k >= 0;
     only k <= N has a click-counting counterpart.
     """
-    if k < 0:
-        raise ValueError("click number must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"quantum efficiency must lie in [0, 1], got {eta}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
+    check_clicks(k, math.inf)
+    check_efficiency(eta)
+    check_count(cutoff, "cutoff")
     weights = np.zeros(cutoff)
     if eta == 1.0:
         weights[k : k + 1] = 1.0
@@ -201,8 +201,8 @@ def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> Op
     Vanishes for k = 0 (the elements coincide) and decreases with the number
     of diodes: Pi_k approaches P_k as N grows.
     """
-    if not 0 <= k <= det.N:
-        raise ValueError(f"click number k={k} outside 0..{det.N}")
+    check_clicks(k, det.N)
+    check_count(cutoff, "cutoff")
     if k == 0 or det.eta == 0.0:
         # k = 0: both elements are (1-eta)^m exactly.  eta = 0, k >= 1: both vanish.
         return OperatorNormDistance(0.0, 0.0)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsymbol import CutoffError, NumericalError
-from .povm import DetectorConfig, click_kernel_table
+from .dsymbol import CutoffError, NumericalError, check_clicks, check_count
+from .povm import DetectorConfig, check_efficiency, click_kernel_table
 from .pfunc import (
     PhaseSpaceMixture,
     convolve_noise,
@@ -136,8 +136,7 @@ class SubtractionSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.det.N:
-            raise ValueError(f"click number k={self.k} outside 0..{self.det.N}")
+        check_clicks(self.k, self.det.N)
 
     @property
     def eta_eff(self) -> float:
@@ -156,8 +155,7 @@ class AdditionSpec:
     def __post_init__(self) -> None:
         if self.sq.xi == 0.0:
             raise ValueError("xi = 0 generates no pairs; addition needs a pump")
-        if not 0 <= self.k <= self.det.N:
-            raise ValueError(f"click number k={self.k} outside 0..{self.det.N}")
+        check_clicks(self.k, self.det.N)
 
     @property
     def eta_eff(self) -> float:
@@ -216,13 +214,11 @@ def herald_tmsv_distribution(
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
-    if not 0 <= k <= det.N:
-        raise ValueError(f"click number k={k} outside 0..{det.N}")
-    if cutoff is None:
+    check_clicks(k, det.N)
+    if cutoff is None:  # a tail of at most 1e-18
         cutoff = max(k + 8, math.ceil(math.log(1e-18) / math.log(omega)))
-    elif cutoff < 1:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    elif omega**cutoff > DEFAULT_TAIL_TOL:
+    check_count(cutoff, "cutoff")
+    if omega**cutoff > DEFAULT_TAIL_TOL:
         raise CutoffError(
             f"phase-diffused pair state omega={omega} has tail {omega ** cutoff:.3g} "
             f"at cutoff {cutoff}"
@@ -290,8 +286,7 @@ def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:
 def effective_sigma2(sq: SqueezerConfig, eta: float) -> float:
     """Variance sigma^2 = nu^2 (1 - eta) / (1 + eta nu^2) of the thermalized
     output P function of a zero-click addition on a coherent input."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"quantum efficiency must lie in [0, 1], got {eta}")
+    check_efficiency(eta)
     nu2 = sq.nu**2
     return nu2 * (1.0 - eta) / (1.0 + eta * nu2)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dsymbol import _SPLIT, DSymbolParams, NumericalError
+from .dsymbol import _SPLIT, DSymbolParams, NumericalError, check_clicks, check_count
 from .pfunc import PhaseSpaceMixture, check_displaced_thermal
 from .processes import AdditionSpec, AmplifySpec, SubtractionSpec
 
@@ -90,13 +90,6 @@ def _dd_base(tau: float, sigma: float, j: int, n_diodes: int) -> tuple[float, fl
     return _two_sum(hi, lo)
 
 
-def _check_indices(params: DSymbolParams, k: int, m: int) -> None:
-    if k < 0 or m < 0:
-        raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
-    if k > params.N:
-        raise ValueError(f"k={k} exceeds the number of diodes N={params.N}")
-
-
 def d_direct(params: DSymbolParams, k: int, m: int) -> float:
     """Evaluate D[k, m] by the alternating binomial sum.
 
@@ -105,7 +98,8 @@ def d_direct(params: DSymbolParams, k: int, m: int) -> float:
     error beyond the final rounding; this keeps the heavy cancellation of the
     alternating sum under control.
     """
-    _check_indices(params, k, m)
+    check_clicks(k, params.N)
+    check_count(m, "photon number m", 0)
     pieces: list[float] = []
     cnk = math.comb(params.N, k)
     for j in range(k + 1):
@@ -140,7 +134,8 @@ def d_exact(
     actually operate on.
     """
     params = DSymbolParams(n_diodes, float(Fraction(tau)), float(Fraction(sigma)))
-    _check_indices(params, k, m)
+    check_clicks(k, params.N)
+    check_count(m, "photon number m", 0)
     tau_q = Fraction(tau)
     sigma_q = Fraction(sigma)
     total = Fraction(0)

@@ -310,6 +310,26 @@ def test_non_numeric_errorbound_n_is_parse_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# each used to exit 2 through argparse, where the same value in a config exits 1
+@pytest.mark.parametrize("flag,value", [("--k", "1.5"), ("--eta", "abc"), ("--cutoff", "10.5"),
+                                        ("--format", "xml")])
+def test_bad_errorbound_flag_is_parse_error(tmp_path, capsys, flag, value):
+    argv = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2,4", flag, value]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_integral_flag_value_reads_like_config_value(tmp_path):
+    # "k": 2.0 in a config runs as k = 2, and so does --k 2.0 now
+    flag = ["errorbound", "--eta", "0.5", "--k", "2.0", "--N", "2,4", "--out", str(tmp_path / "f")]
+    payload = {"schema": 1, "protocol": "errorbound", "eta": 0.5, "k": 2.0, "N": [2, 4]}
+    config = ["errorbound", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "c")]
+    assert main(flag) == main(config) == 0
+    assert (tmp_path / "f" / "errorbound.csv").read_bytes() == \
+        (tmp_path / "c" / "errorbound.csv").read_bytes()
+
+
 HERALD_CONFIG = {
     "schema": 1,
     "protocol": "herald",
@@ -571,6 +591,9 @@ NON_OBJECT_NODES = {
     "add_optics_text": {**ADD_CONFIG, "optics": "mu"},
     "add_optics_list": {**ADD_CONFIG, "optics": ["mu"]},
     "amplify_addition": {**json.loads((CONFIGS / "table1.json").read_text()), "addition": "optics"},
+    "amplify_addition_number": {**json.loads((CONFIGS / "table1.json").read_text()), "addition": 5},
+    "amplify_subtraction_number": {**json.loads((CONFIGS / "table1.json").read_text()),
+                                   "subtraction": 3.5},
     "subtract_detector": {**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7}, "detector": "N"},
     "add_grid": {**ADD_CONFIG, "grid": ["re_min"]},
 }

@@ -29,13 +29,16 @@ from clickcraft import (
     amplify,
     apply_beam_splitter,
     apply_two_mode_squeezer,
+    click_povm_element,
     condition_on_clicks,
     effective_sigma2,
     herald_tmsv_distribution,
     make_state,
     moment,
+    multiply_click_factor,
     normally_ordered_moment,
     nu_for_sigma2,
+    operator_norm_distance,
     photon_distribution,
     probability_table,
     subtract,
@@ -512,6 +515,30 @@ def test_spec_click_bounds():
         SubtractionSpec(BS07, DET16, 17)
     with pytest.raises(ValueError):
         AdditionSpec(SQ14, DET16, -1)
+
+
+# a click number, cutoff or diode count that is not an integer: each ran as
+# k = 1 (a bool), escaped as a TypeError or IndexError, or raised CutoffError
+NON_INTEGER_COUNTS = {
+    "subtraction-k-fraction": lambda: SubtractionSpec(BS07, DET4, 1.5),
+    "subtraction-k-bool": lambda: SubtractionSpec(BS07, DET4, True),
+    "addition-k-fraction": lambda: AdditionSpec(SQ14, DET4, 1.5),
+    "addition-k-bool": lambda: AdditionSpec(SQ14, DET4, True),
+    "herald-k-fraction": lambda: herald_tmsv_distribution(0.3, DET4, 1.5),
+    "herald-cutoff-fraction": lambda: herald_tmsv_distribution(0.3, DET4, 1, 20.5),
+    "povm-element-k-fraction": lambda: click_povm_element(DET4, 1.5, 8),
+    "operator-norm-cutoff-fraction": lambda: operator_norm_distance(DET4, 1, 64.5),
+    "make_state-cutoff-fraction": lambda: make_state("thermal", 8.5, nbar=0.1),
+    "click-factor-diodes-float": lambda: multiply_click_factor(
+        PhaseSpaceMixture.thermal(0.2), 0.5, 4.0, 1),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_count_is_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, NumericalError)
 
 
 # --- module structure ----------------------------------------------------------
