@@ -38,7 +38,7 @@ from . import __version__
 from .dsymbol import NumericalError, check_clicks
 from .fock import make_state, photon_distribution
 from .pfunc import GridSpec, PhaseSpaceMixture, evaluate_grid
-from .povm import DetectorConfig, click_statistics, operator_norm_distance
+from .povm import NORM_CUTOFF, DetectorConfig, click_statistics, operator_norm_distance
 from .processes import (
     _KIND_KEYWORDS,
     AdditionSpec,
@@ -56,24 +56,15 @@ from .processes import (
 # the fields of each input kind besides ``kind``: a ``probs`` list, or the
 # keywords of a state of ``make_state``; an input node holds no other field
 _INPUT_FIELDS = {"photon_distribution": ("probs",), **_KIND_KEYWORDS}
-# the top-level fields each protocol requires, and those it may hold, besides
-# schema, protocol and format; its config holds no other field
-_CONFIG_FIELDS = {
-    "herald": (("input", "detector"), ("clicks", "cutoff")),
-    "subtract": (("input", "detector", "optics"), ("clicks", "grid")),
-    "add": (("input", "detector", "optics"), ("clicks", "grid")),
-    "amplify": (("input", "addition", "subtraction"), ("clicks", "grid")),
-    "clickstats": (("input", "detector"), ()),
-    "errorbound": (("eta", "k", "N"), ("cutoff",)),
-}
 
 
 class ConfigError(Exception):
     """The config file is missing, malformed, or schema-incompatible."""
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> str:
     path.write_text(text, encoding="utf-8", newline="\n")
+    return path.name
 
 
 def _float_texts(values: np.ndarray, as_json: bool = False) -> list[str]:
@@ -106,7 +97,7 @@ def _json_array(values: np.ndarray, depth: int) -> str:
     return "[" + pad + body + "\n" + " " * depth + "]"
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> str:
     """Write ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``;
     top-level numpy arrays are encoded row by row by ``_json_array``."""
     fields = []
@@ -116,16 +107,16 @@ def _write_json(path: Path, payload: dict) -> None:
         else:
             text = json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
         fields.append(f" {json.dumps(key)}: {text}")
-    _write_text(path, "{\n" + ",\n".join(fields) + "\n}\n")
+    return _write_text(path, "{\n" + ",\n".join(fields) + "\n}\n")
 
 
-def _write_csv(path: Path, header: str, chunks: Iterable[tuple[str, list]]) -> None:
+def _write_csv(path: Path, header: str, chunks: Iterable[tuple[str, list]]) -> str:
     """Write ``header`` and then ``template % tuple(values)`` for each
     ``(template, values)`` chunk.  A template holds whole lines, with their
     fixed fields inline and a ``%`` slot per value, so a file costs one
     formatting call per chunk, not one per cell."""
     body = "".join(template % tuple(values) for template, values in chunks)
-    _write_text(path, header + "\n" + body)
+    return _write_text(path, header + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +132,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         config = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -165,14 +156,19 @@ def _node(node, what: str, required=(), optional=()) -> dict:
     return node
 
 
-def _integer(value, what: str) -> int:
-    """An integer field: an int, an integral float or the JSON text of one (a
-    flag value).  A bool, a fractional number or other text is a config error."""
-    if isinstance(value, str):
+def _flag_value(text: str):
+    """A flag's text as a config value: its JSON value, else the float it spells, else the text."""
+    for parse in (json.loads, float):
         try:
-            value = json.loads(value)
-        except ValueError:
+            return parse(text)
+        except (ValueError, RecursionError):
             pass
+    return text
+
+
+def _integer(value, what: str) -> int:
+    """An integer field: an int or an integral float.  A bool, a fractional
+    number or anything else, text included, is a config error."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -181,15 +177,13 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """A float field: an int, a float or number text (a flag value).  A bool
-    or other text is a config error."""
+    """A float field: an int or a float; an int past the float range reads
+    as an infinity.  A bool or anything else, text included, is a config error."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
         try:
             return float(value)
-        except ValueError:
-            pass
+        except OverflowError:
+            return np.inf if value > 0 else -np.inf
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
@@ -257,7 +251,7 @@ def _grid_from_flag(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError("--grid expects re0,re1,im0,im1,nre,nim")
-    return _grid_from(dict(zip(_GRID_FIELDS, parts)))
+    return _grid_from(dict(zip(_GRID_FIELDS, map(_flag_value, parts))))
 
 
 def _clicks_list(node, n_max: int) -> list[int]:
@@ -288,11 +282,9 @@ def _write_grid(
         rows = (cells[j : j + len(re)] for j in range(0, len(cells), len(re)))
         tails = (f",{i},%s\n" for i in im)
         chunks = ((tail.join(re) + tail, row) for tail, row in zip(tails, rows))
-        _write_csv(outdir / f"{stem}.csv", "re,im,value", chunks)
-        return [f"{stem}.csv"]
+        return [_write_csv(outdir / f"{stem}.csv", "re,im,value", chunks)]
     payload = {"grid": asdict(grid), "values_row_major": matrix.ravel()}
-    _write_json(outdir / f"{stem}.json", payload)
-    return [f"{stem}.json"]
+    return [_write_json(outdir / f"{stem}.json", payload)]
 
 
 def _write_outcome(
@@ -300,7 +292,7 @@ def _write_outcome(
 ) -> list[str]:
     """``terms_<key>.json`` (the output mixture's terms) and, given a grid,
     ``pfunction_<key>`` (its P function on the grid)."""
-    state, files = outcome.state, [f"terms_{key}.json"]
+    state = outcome.state
     terms = {
         "probability": outcome.probability,
         "gaussians": [
@@ -309,7 +301,7 @@ def _write_outcome(
         "deltas": [{"c": c, "z": [z.real, z.imag]} for c, z in zip(state.dc, state.dz)],
         "pruned_mass": state.dropped,
     }
-    _write_json(outdir / files[0], terms)
+    files = [_write_json(outdir / f"terms_{key}.json", terms)]
     if grid is not None:
         files += _write_grid(outdir, f"pfunction_{key}", fmt, evaluate_grid(state, grid), grid)
     return files
@@ -332,14 +324,22 @@ def _write_distribution(
             for n, col in columns.items()
         ]
         cells = [cell for row in zip(*texts) for cell in row]
-        _write_csv(outdir / f"{stem}.csv", ",".join(columns), [(line * len(texts[0]), cells)])
-        return [f"{stem}.csv"]
+        chunks = [(line * len(texts[0]), cells)]
+        return [_write_csv(outdir / f"{stem}.csv", ",".join(columns), chunks)]
     payload = {
         n: np.asarray(col, dtype=int if _COLUMN_FORMATS.get(n) == "%d" else float)
         for n, col in columns.items()
     }
-    _write_json(outdir / f"{stem}.json", payload)
-    return [f"{stem}.json"]
+    return [_write_json(outdir / f"{stem}.json", payload)]
+
+
+def _write_per_click(outdir: Path, clicks: list[int], write_one) -> list[str]:
+    """The files of each click number k, written by ``write_one(k) -> (names,
+    probability of k clicks)``, then ``summary.json`` of those probabilities."""
+    results = [write_one(k) for k in clicks]
+    summary = {"clicks": clicks, "probabilities": [p for _, p in results]}
+    files = [name for names, _ in results for name in names]
+    return files + [_write_json(outdir / "summary.json", summary)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +352,25 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
     omega = fields["omega"]
     det = _detector_from(config["detector"])
     clicks = _clicks_list(config.get("clicks"), det.N)
-    cutoff = config.get("cutoff")
-    if cutoff is not None:
-        cutoff = _integer(cutoff, "cutoff")
-    files: list[str] = []
-    summary = {"clicks": clicks, "probabilities": []}
-    for k in clicks:
+    cutoff = None if config.get("cutoff") is None else _integer(config["cutoff"], "cutoff")
+
+    def write_one(k: int) -> tuple[list[str], float]:
         res = herald_tmsv_distribution(omega, det, k, cutoff)
         columns = {"n": np.arange(res.weights.size), "weight": res.weights,
                    "normalized": res.normalized}
-        files += _write_distribution(outdir, f"herald_k{k}", fmt, columns)
-        summary["probabilities"].append(res.probability)
-    _write_json(outdir / "summary.json", summary)
-    files.append("summary.json")
-    return files, {"omega": omega, "detector": asdict(det), "clicks": clicks}
+        return _write_distribution(outdir, f"herald_k{k}", fmt, columns), res.probability
+
+    resolved = {"omega": omega, "detector": asdict(det), "clicks": clicks}
+    return _write_per_click(outdir, clicks, write_one), resolved
 
 
 def _conditioning_protocol(
     protocol: str, config: dict, outdir: Path, fmt: str, grid: GridSpec | None
 ) -> tuple[list[str], dict]:
     kinds = ("vacuum", "coherent", "thermal", "displaced_thermal")
-    kind, fields = _input_from(config["input"], kinds, protocol)
-    # each kind's constructor takes its fields in the table's order
-    p_in = getattr(PhaseSpaceMixture, kind)(*fields.values())
+    fields = _input_from(config["input"], kinds, protocol)[1]
+    # every kind is a displaced thermal state, with 0 for a field it lacks
+    p_in = PhaseSpaceMixture.displaced_thermal(fields.get("alpha", 0), fields.get("nbar", 0))
     det = _detector_from(config["detector"])
     optics = config["optics"]
     if protocol == "subtract":
@@ -387,17 +383,13 @@ def _conditioning_protocol(
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
     clicks = _clicks_list(config.get("clicks"), det.N)
 
-    files: list[str] = []
-    summary = {"clicks": clicks, "probabilities": []}
-    for k in clicks:
+    def write_one(k: int) -> tuple[list[str], float]:
         outcome = run(p_in, replace(spec, k=k))
-        summary["probabilities"].append(outcome.probability)
-        files += _write_outcome(outdir, f"k{k}", fmt, outcome, grid)
-    _write_json(outdir / "summary.json", summary)
-    files.append("summary.json")
+        return _write_outcome(outdir, f"k{k}", fmt, outcome, grid), outcome.probability
+
     resolved = {"detector": asdict(det), "optics": resolved_optics, "clicks": clicks,
                 "eta_eff": spec.eta_eff}
-    return files, resolved
+    return _write_per_click(outdir, clicks, write_one), resolved
 
 
 def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
@@ -421,11 +413,10 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
         columns = {"k1": k1, "k2": k2, "probability": table.ravel(), "percent": percent.ravel()}
         files = _write_distribution(outdir, "probability_table", fmt, columns)
     else:
-        texts = ("%.2f\n" * table.size % tuple(percent.ravel().tolist())).split()
+        texts = [_COLUMN_FORMATS["percent"] % p for p in percent.ravel().tolist()]
         payload = {"N1": det1.N, "N2": det2.N, "probabilities": table,
                    "percent": np.reshape(texts, table.shape)}
-        _write_json(outdir / "probability_table.json", payload)
-        files = ["probability_table.json"]
+        files = [_write_json(outdir / "probability_table.json", payload)]
 
     if grid is not None:
         for k1 in k1_list:
@@ -466,7 +457,7 @@ def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     if not isinstance(n_node, list):
         raise ConfigError(f"N must be a list of diode counts, got {n_node!r}")
     n_values = [_integer(n, "diode counts N") for n in n_node]
-    cutoff = _integer(config.get("cutoff", 512), "cutoff")
+    cutoff = _integer(config.get("cutoff", NORM_CUTOFF), "cutoff")
     res = [operator_norm_distance(DetectorConfig(n, eta), k, cutoff) for n in n_values]
     columns = {"N": n_values, "distance": [r.value for r in res],
                "grid_sup": [r.grid_sup for r in res], "tail_bound": [r.tail_bound for r in res]}
@@ -474,13 +465,18 @@ def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     return files, {"eta": eta, "k": k, "N": n_values, "cutoff": cutoff}
 
 
-_RUNNERS = {
-    "herald": _run_herald,
-    "subtract": partial(_conditioning_protocol, "subtract"),
-    "add": partial(_conditioning_protocol, "add"),
-    "amplify": _run_amplify,
-    "clickstats": _run_clickstats,
-    "errorbound": _run_errorbound,
+# each protocol's runner; the top-level fields its config requires, and those
+# it may hold besides schema, protocol and format (it holds no other field);
+# and the fields that a flag of the same name overrides
+_PROTOCOLS = {
+    "herald": (_run_herald, ("input", "detector"), ("clicks", "cutoff"), ()),
+    "subtract": (partial(_conditioning_protocol, "subtract"), ("input", "detector", "optics"),
+                 ("clicks", "grid"), ()),
+    "add": (partial(_conditioning_protocol, "add"), ("input", "detector", "optics"),
+            ("clicks", "grid"), ()),
+    "amplify": (_run_amplify, ("input", "addition", "subtraction"), ("clicks", "grid"), ()),
+    "clickstats": (_run_clickstats, ("input", "detector"), (), ()),
+    "errorbound": (_run_errorbound, ("eta", "k", "N"), ("cutoff",), ("eta", "k", "N", "cutoff")),
 }
 
 
@@ -496,38 +492,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="protocol", required=True)
-    for name in _RUNNERS:
+    for name, (*_, flags) in _PROTOCOLS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON parameter file (schema 1)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", help="tabular output format, csv or json")
         p.add_argument("--grid", help="re0,re1,im0,im1,nre,nim grid override")
         p.add_argument("--manifest", action="store_true", help="write manifest.json")
-        if name == "errorbound":
-            p.add_argument("--eta")
-            p.add_argument("--k")
-            p.add_argument("--N", help="comma-separated diode counts")
-            p.add_argument("--cutoff")
+        for key in flags:
+            p.add_argument(f"--{key}", help="comma-separated diode counts" if key == "N" else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, required, optional, flags = _PROTOCOLS[args.protocol]
     try:
         config = load_config(args.config)
         if config.get("protocol", args.protocol) != args.protocol:
             raise ConfigError(
-                f"config is for protocol {config.get('protocol')!r}, "
-                f"not {args.protocol!r}"
-            )
-        required, optional = _CONFIG_FIELDS[args.protocol]
+                f"config is for protocol {config['protocol']!r}, not {args.protocol!r}")
         if (args.grid is not None or "grid" in config) and "grid" not in optional:
             raise ConfigError(f"{args.protocol} renders no P function and takes no grid")
-        # flag overrides
-        for key in ("eta", "k", "N", "cutoff") if args.protocol == "errorbound" else ():
-            value = getattr(args, key)
-            if value is not None:
-                config[key] = value.split(",") if key == "N" else value
+        # flag overrides, each read as the config value its text stands for
+        for key in flags:
+            text = getattr(args, key)
+            if text is not None:
+                config[key] = (
+                    [_flag_value(p) for p in text.split(",")] if key == "N" else _flag_value(text))
         _node(config, f"a {args.protocol} config", required,
               ("schema", "protocol", "format", *optional))
         fmt = config.get("format", "csv") if args.format is None else args.format
@@ -541,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create the output directory: {exc}") from exc
-        files, resolved = _RUNNERS[args.protocol](config, outdir, fmt, grid)
+        files, resolved = run(config, outdir, fmt, grid)
     except ConfigError as exc:
         print(f"clickcraft: config error: {exc}", file=sys.stderr)
         return 1

@@ -78,6 +78,9 @@ class PhaseSpaceMixture(NamedTuple):
         """Mixture of these fields (equal lengths per term kind); ValueError
         unless every inverse width is finite and > 0 and every coefficient finite."""
         mixture = cls(tuple(c), tuple(z), tuple(a), tuple(dc), tuple(dz), dropped)
+        if not (len(mixture.c) == len(mixture.z) == len(mixture.a)
+                and len(mixture.dc) == len(mixture.dz)):
+            raise ValueError("each term kind needs fields of equal length")
         for width in mixture.a:
             if not 0 < width < math.inf:
                 raise ValueError(f"inverse width must be positive and finite, got a={width}")

@@ -26,6 +26,8 @@ import numpy as np
 
 from .dsymbol import DSymbolParams, DSymbolTable, check_clicks, check_count, d_recursive
 
+NORM_CUTOFF = 512  # the Fock cutoff of ``operator_norm_distance`` when none is given
+
 
 def check_efficiency(eta: float) -> None:
     """A quantum efficiency lies in [0, 1]; NaN and anything outside raise ``ValueError``."""
@@ -194,7 +196,7 @@ def _photoelectric_tail_sup(eta: float, k: int, start: int) -> float:
     return max(_photoelectric_weight(m, k, eta) for m in range(lo, top + 1))
 
 
-def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = 512) -> OperatorNormDistance:
+def operator_norm_distance(det: DetectorConfig, k: int, cutoff: int = NORM_CUTOFF) -> OperatorNormDistance:
     """Operator-norm distance between the click element Pi_k and the
     photoelectric element P_k of the same (eta, k).
 

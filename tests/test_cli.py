@@ -1,5 +1,6 @@
 """CLI behavior: protocols end to end, exit codes, determinism, formats."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickcraft.cli import _write_distribution, _write_grid, main
+from clickcraft import (
+    BeamSplitterConfig,
+    DetectorConfig,
+    PhaseSpaceMixture,
+    SubtractionSpec,
+    subtract,
+)
+from clickcraft.cli import _PROTOCOLS, _write_distribution, _write_grid, build_parser, main
 from clickcraft.pfunc import GridSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -35,6 +43,18 @@ def test_undecodable_config_is_parse_error(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe{")
     assert main(["subtract", "--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    # the decoder's RecursionError used to escape as a traceback, from a
+    # config file and from an integer flag
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000)
+    assert main(["subtract", "--config", str(bad)]) == 1
+    for flag in ("--k", "--eta"):
+        argv = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2", flag, "[" * 100_000]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.count("config error") == 3
 
 
 def test_wrong_schema_is_parse_error(tmp_path):
@@ -328,6 +348,79 @@ def test_integral_flag_value_reads_like_config_value(tmp_path):
     assert main(flag) == main(config) == 0
     assert (tmp_path / "f" / "errorbound.csv").read_bytes() == \
         (tmp_path / "c" / "errorbound.csv").read_bytes()
+
+
+def test_flag_spellings_of_one_number_give_one_output(tmp_path):
+    plain = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2,4", "--out", str(tmp_path / "p")]
+    spelled = ["errorbound", "--eta", ".5", "--k", "1e0", "--N", "2.0,4", "--out",
+               str(tmp_path / "s")]
+    assert main(plain) == main(spelled) == 0
+    assert (tmp_path / "p" / "errorbound.csv").read_bytes() == \
+        (tmp_path / "s" / "errorbound.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_integer_past_float_range_is_validation_error(tmp_path, capsys, source):
+    # reads as an infinite eta; in a config it used to escape as an OverflowError
+    if source == "flag":
+        argv = ["errorbound", "--eta", str(10**400), "--k", "1", "--N", "2,4"]
+    else:
+        payload = {**ERRORBOUND_CONFIG, "eta": 10**400}
+        argv = ["errorbound", "--config", write_config(tmp_path, payload)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+
+
+# each config gives a number as JSON text; each used to exit 0 and read the number
+@pytest.mark.parametrize("case", ["errorbound_eta", "detector_N", "grid_re_min", "clicks"])
+def test_number_as_config_text_is_parse_error(tmp_path, capsys, case):
+    payload = {
+        "errorbound_eta": {**ERRORBOUND_CONFIG, "eta": "0.5"},
+        "detector_N": {**ADD_CONFIG, "detector": {"N": "4", "eta": 0.8}},
+        "grid_re_min": {**ADD_CONFIG, "grid": {**SMALL_GRID, "re_min": "-1"}},
+        "clicks": {**ADD_CONFIG, "clicks": "1"},
+    }[case]
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_parser_offers_each_protocol_with_its_flag_fields():
+    (protocols,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(protocols.choices) == list(_PROTOCOLS)
+    assert {name: row[3] for name, row in _PROTOCOLS.items() if row[3]} == {
+        "errorbound": ("eta", "k", "N", "cutoff")}
+    common = {"-h", "--help", "--config", "--out", "--format", "--grid", "--manifest"}
+    for name, (*_, flags) in _PROTOCOLS.items():
+        options = {o for action in protocols.choices[name]._actions for o in action.option_strings}
+        assert options == common | {f"--{key}" for key in flags}
+
+
+@pytest.mark.parametrize("node, state", [
+    ({"kind": "vacuum"}, PhaseSpaceMixture.vacuum()),
+    ({"kind": "coherent", "alpha": [0.5, -0.25]}, PhaseSpaceMixture.coherent(0.5 - 0.25j)),
+    ({"kind": "thermal", "nbar": 0.3}, PhaseSpaceMixture.thermal(0.3)),
+    ({"kind": "displaced_thermal", "alpha": -0.5, "nbar": 0.3},
+     PhaseSpaceMixture.displaced_thermal(-0.5, 0.3)),
+], ids=["vacuum", "coherent", "thermal", "displaced_thermal"])
+def test_conditioning_input_is_its_named_state(tmp_path, node, state):
+    payload = {**ADD_CONFIG, "protocol": "subtract", "optics": {"t": 0.7}, "input": node}
+    assert main(["subtract", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    det = DetectorConfig(**ADD_CONFIG["detector"])
+    outcome = subtract(state, SubtractionSpec(BeamSplitterConfig(0.7), det, ADD_CONFIG["clicks"]))
+    terms = json.loads((tmp_path / f"terms_k{ADD_CONFIG['clicks']}.json").read_text())
+    assert terms["probability"] == outcome.probability
+    assert [g["c"] for g in terms["gaussians"]] == list(outcome.state.c)
+    assert [[d["c"], complex(*d["z"])] for d in terms["deltas"]] == \
+        [[c, z] for c, z in zip(outcome.state.dc, outcome.state.dz)]
+
+
+def test_flag_of_another_protocol_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["subtract", "--eta", "0.5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 HERALD_CONFIG = {

@@ -670,6 +670,33 @@ def test_negative_or_infinite_width_rejected_by_from_fields_and_every_map(a):
             apply(unchecked)
 
 
+UNEQUAL_FIELDS = {
+    "c": ((1.0, 2.0), (0j,), (1.0, 1.0), (), ()),
+    "z": ((1.0,), (0j, 1j), (1.0,), (), ()),
+    "a": ((1.0,), (0j,), (1.0, 2.0), (), ()),
+    "dc": ((), (), (), (0.5, 0.5), (0j,)),
+    "dz": ((), (), (), (0.5,), (0j, 1j)),
+}
+
+
+@pytest.mark.parametrize("fields", UNEQUAL_FIELDS.values(), ids=UNEQUAL_FIELDS.keys())
+def test_from_fields_rejects_unequal_lengths_per_term_kind(fields):
+    # accepted before, after which integral and moment(m, 0, 0) summed a
+    # different number of terms: 3 pi and pi for the first case
+    with pytest.raises(ValueError, match="equal length"):
+        PhaseSpaceMixture.from_fields(*fields)
+
+
+def test_named_states_are_displaced_thermal_bit_for_bit():
+    # the CLI builds every conditioning input as displaced_thermal(alpha, nbar)
+    # with 0 for an absent field
+    pairs = [(PhaseSpaceMixture.vacuum(), (0, 0)),
+             (PhaseSpaceMixture.coherent(-0.5 + 0.25j), (-0.5 + 0.25j, 0)),
+             (PhaseSpaceMixture.thermal(0.3), (0, 0.3))]
+    for named, args in pairs:
+        assert repr(named) == repr(PhaseSpaceMixture.displaced_thermal(*args))
+
+
 def test_closed_form_amplifier_rejects_non_finite_coefficients():
     spec = AmplifySpec(
         AdditionSpec(SqueezerConfig.from_mu(1.4), DetectorConfig(4, 0.5), 1),
