@@ -5,24 +5,24 @@ serves as the independent cross-check for the closed-form phase-space
 pipeline.  A one-mode state is a read-only (d, d) complex array; a
 conditioned one is unnormalized, its trace the probability of the
 conditioning event.  Two-mode states are weighted ket ensembles,
-rho = sum_j w_j |psi_j><psi_j|, so a d x d pair costs n d^2 amplitudes for an
-ensemble of n kets rather than d^4 matrix entries.  Unitaries are built by
-exponentiating the truncated generator; both generators conserve an integer
-label (total photon number for the beam splitter, photon-number difference
-for the two-mode squeezer), so the exponential is taken block by block, which
-is exact, and each block acts on the kets alone, in O(n d^2) memory.  Every
-block is real, antisymmetric and tridiagonal, so its exponential is real and
-comes from one real SVD of its half-size bidiagonal coupling, O(d^3) per
-block.  Only the columns at basis states the kets populate are built and
-applied: O(n d c) per block for c populated columns, and c = 1 for every
-rho (x) |0> (a unitary maps zero to zero, so a block the kets leave empty
-costs nothing).  Normally ordered moments read one offset diagonal of rho:
-O(d).
+rho = sum_j w_j |psi_j><psi_j|: n d^2 amplitudes for n kets rather than d^4
+matrix entries.  Both unitaries conserve an integer label (total photon
+number for the beam splitter, photon-number difference for the two-mode
+squeezer), so the truncated generator is exponentiated block by block,
+exactly.  Every block is real, antisymmetric and tridiagonal, so its
+exponential is real and comes from one real SVD of its half-size bidiagonal
+coupling, O(d^3) per block.  Only the columns at basis states the kets
+populate are built and applied: O(n d c) per block for c populated columns,
+and c = 1 for every rho (x) |0> (a unitary maps zero to zero, so a block the
+kets leave empty costs nothing).  A unitary holds its input kets and its
+output kets and nothing else ket-sized; the detector stage holds its kets
+and one (d_B, d_A, d_A) block stack.  Normally ordered moments read one
+offset diagonal of rho: O(d).
 
 Truncation is never silent: state constructors fail when the requested cutoff
 leaves more than ``tail_tol`` of probability outside the basis, and the
 unitaries fail when the output accumulates more than ``tail_tol`` of weight on
-the cutoff boundary.
+the cutoff boundary.  A ``tail_tol`` that is NaN or negative is a ValueError.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ UNITARY_TAIL_TOL = 1e-8
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _check_tail_tol(tail_tol: float) -> None:
+    """A tail tolerance is a number >= 0; NaN and a negative raise ``ValueError``."""
+    if not tail_tol >= 0:
+        raise ValueError(f"tail tolerance must be a number >= 0, got {tail_tol}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,7 @@ class TwoModeDensityMatrix:
         return _readonly(blocks)
 
 
-# ---------------------------------------------------------------------------
-# state constructors
-# ---------------------------------------------------------------------------
+# --- state constructors ------------------------------------------------------
 
 
 def _expm_tridiagonal(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -107,8 +111,10 @@ def _expm_tridiagonal(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarr
     """
     n = s.size + 1
     m = n // 2  # odd indices; the even ones number n - m >= m
-    g = np.diag(s, -1)
-    u, sigma, vt = np.linalg.svd((g - g.T)[1::2, 0::2])
+    b = np.zeros((m, n - m))  # B[a, a] = s[2a], B[a, a+1] = -s[2a+1]
+    np.fill_diagonal(b, s[0::2])
+    np.fill_diagonal(b[:, 1:], -s[1::2])
+    u, sigma, vt = np.linalg.svd(b)
     q = np.zeros((n, n))
     q[0::2, : n - m] = vt.T
     q[1::2, n - m :] = u
@@ -142,6 +148,7 @@ def make_state(
     not an integer >= 0, an alpha not finite or an nbar not finite and >= 0.
     """
     check_count(cutoff, "cutoff")
+    _check_tail_tol(tail_tol)
     if kind not in _KIND_KEYWORDS:
         raise ValueError(f"unknown state kind {kind!r}")
     for name, value in (("alpha", alpha), ("nbar", nbar), ("omega", omega), ("n", n)):
@@ -227,7 +234,7 @@ def _ensemble(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tensor_product(a: np.ndarray, b: np.ndarray) -> TwoModeDensityMatrix:
     w_a, k_a = _ensemble(a)
     w_b, k_b = _ensemble(b)
-    kets = np.einsum("ip,jr->ijpr", k_a, k_b).reshape(-1, len(a), len(b))
+    kets = np.einsum("ip,jr->ijpr", k_a, k_b, order="C").reshape(-1, len(a), len(b))
     weights = np.outer(w_a, w_b).reshape(-1)
     return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
 
@@ -237,9 +244,7 @@ def photon_distribution(state: np.ndarray) -> np.ndarray:
     return np.diag(state).real.copy()
 
 
-# ---------------------------------------------------------------------------
-# mode unitaries via block exponentiation of the truncated generator
-# ---------------------------------------------------------------------------
+# --- mode unitaries via block exponentiation of the truncated generator ------
 
 
 def _apply_blockwise(
@@ -253,15 +258,15 @@ def _apply_blockwise(
     states the kets populate are built, so a block the kets leave empty costs
     nothing (a unitary maps zero to zero)."""
     d_a, d_b = state.cutoffs
-    flat = state.kets.reshape(-1, d_a * d_b).copy()
+    flat = np.array(state.kets, order="C").reshape(-1, d_a * d_b)  # the one output copy
     populated = flat.any(axis=0)
     for idx, s in blocks:
         cols = np.flatnonzero(populated[idx])
         if cols.size:
             flat[:, idx] = flat[:, idx[cols]] @ _expm_tridiagonal(s, cols).T
-    kets = flat.reshape(-1, d_a, d_b)
 
-    diag = np.einsum("j,jps->ps", state.weights, np.abs(kets) ** 2)
+    f = flat.view(float)  # real and imaginary parts side by side, not copied
+    diag = np.einsum("j,jx,jx->x", state.weights, f, f).reshape(d_a, d_b, 2).sum(axis=2)
     boundary = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
     total = float(diag.sum())
     if total > 0 and boundary > tail_tol * total:
@@ -269,7 +274,7 @@ def _apply_blockwise(
             f"{what}: boundary occupancy {boundary / total:.3g} exceeds the tail "
             f"tolerance {tail_tol}; increase the cutoff"
         )
-    return TwoModeDensityMatrix(state.weights, _readonly(kets))
+    return TwoModeDensityMatrix(state.weights, _readonly(flat.reshape(-1, d_a, d_b)))
 
 
 def _beam_splitter_blocks(theta: float, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -305,10 +310,10 @@ def apply_beam_splitter(
     Built as exp(theta (a b^dag - a^dag b)) with t = cos(theta), exponentiated
     block by block over the conserved total photon number.
     """
+    _check_tail_tol(tail_tol)
     if state.cutoffs[0] != state.cutoffs[1]:
         raise ValueError(f"cutoffs must match, got {state.cutoffs}")
-    theta = math.acos(bs.t)
-    blocks = _beam_splitter_blocks(theta, state.cutoffs[0])
+    blocks = _beam_splitter_blocks(math.acos(bs.t), state.cutoffs[0])
     return _apply_blockwise(state, blocks, tail_tol, "beam splitter")
 
 
@@ -322,6 +327,7 @@ def apply_two_mode_squeezer(
     Vacuum input acquires weights (1/mu^2) (nu/mu)^(2m) on |m, m>; mode
     amplitudes transform with gain mu = cosh(xi).
     """
+    _check_tail_tol(tail_tol)
     if state.cutoffs[0] != state.cutoffs[1]:
         raise ValueError(f"cutoffs must match, got {state.cutoffs}")
     if sq.xi == 0.0:
@@ -330,9 +336,7 @@ def apply_two_mode_squeezer(
     return _apply_blockwise(state, blocks, tail_tol, "two-mode squeezer")
 
 
-# ---------------------------------------------------------------------------
-# conditioning and moments
-# ---------------------------------------------------------------------------
+# --- conditioning and moments ------------------------------------------------
 
 
 def condition_on_clicks(
@@ -343,8 +347,7 @@ def condition_on_clicks(
     Returns the unnormalized mode-A state sum_m D[k, m] <m|_B rho |m>_B whose
     trace is the probability of seeing k clicks.
     """
-    d_a, d_b = state.cutoffs
-    weights = click_povm_element(det, k, d_b)  # checks 0 <= k <= N
+    weights = click_povm_element(det, k, state.cutoffs[1])  # checks 0 <= k <= N
     out = np.tensordot(weights, state._detector_blocks, axes=1)
     return ProcessOutcome(state=_readonly(out), probability=float(np.trace(out).real))
 
@@ -361,8 +364,8 @@ def normally_ordered_moment(state: np.ndarray, p: int, q: int) -> complex:
     Warns when the top p+q Fock levels contribute more than 1e-8 of the
     moment, i.e. when the truncation starts to bite.
     """
-    if p < 0 or q < 0:
-        raise ValueError("moment orders must be non-negative")
+    check_count(p, "moment order p", 0)
+    check_count(q, "moment order q", 0)
     d = len(state)
     band = np.diagonal(state, p - q)[min(p, q) :]
     j = np.arange(band.size, dtype=float)[:, None]

@@ -1,6 +1,7 @@
 """Truncated-Fock oracle: constructors, unitaries, conditioning, moments."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,32 @@ UNREAD_KEYWORDS = {
     "displaced-omega": ("displaced_thermal", {"alpha": 0.5, "nbar": 0.2}, "omega", 0.3),
     "pair-n": ("phase_diffused_tmsv", {"omega": 0.25}, "n", 1),
 }
+
+
+# each returned a state or ran the unitary (NaN), or raised a CutoffError
+# that blamed the tolerance -1.0
+TAIL_TOL_USERS = {
+    "thermal": lambda tol: make_state("thermal", 30, nbar=0.2, tail_tol=tol),
+    "vacuum": lambda tol: make_state("vacuum", 8, tail_tol=tol),
+    "beam_splitter": lambda tol: apply_beam_splitter(
+        coherent_vacuum(0.5, 16), BeamSplitterConfig(0.7), tail_tol=tol
+    ),
+    "squeezer": lambda tol: apply_two_mode_squeezer(
+        coherent_vacuum(0.5, 16), SqueezerConfig(0.1), tail_tol=tol
+    ),
+    "squeezer_identity": lambda tol: apply_two_mode_squeezer(
+        coherent_vacuum(0.5, 16), SqueezerConfig(0.0), tail_tol=tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("user", sorted(TAIL_TOL_USERS))
+def test_tail_tolerance_must_be_a_number_at_least_zero(user, tol):
+    with pytest.raises(ValueError, match="tail tolerance must be a number >= 0") as info:
+        TAIL_TOL_USERS[user](tol)
+    assert not isinstance(info.value, CutoffError)
+    TAIL_TOL_USERS[user](1.0)  # the tolerance that switches the guard off
 
 
 @pytest.mark.parametrize("case", UNREAD_KEYWORDS)
@@ -240,6 +267,15 @@ def test_squeezer_cutoff_guard():
         apply_two_mode_squeezer(small, SqueezerConfig.from_mu(1.5))
 
 
+def test_beam_splitter_cutoff_guard():
+    # |5> at cutoff 6 leaves 0.0628 of its weight on the boundary; |4> none
+    state = tensor_product(make_state("fock", 6, n=5), make_state("vacuum", 6))
+    with pytest.raises(CutoffError, match="boundary occupancy 0.0628 "):
+        apply_beam_splitter(state, BeamSplitterConfig(0.7))
+    state = tensor_product(make_state("fock", 6, n=4), make_state("vacuum", 6))
+    apply_beam_splitter(state, BeamSplitterConfig(0.7))
+
+
 # --- conditioning -----------------------------------------------------------
 
 
@@ -300,6 +336,15 @@ def test_moment_vacuum_vanishes():
     rho = make_state("vacuum", 8)
     for p, q in [(1, 0), (1, 1), (2, 2)]:
         assert abs(normally_ordered_moment(rho, p, q)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, q", [(1.5, 1), (0.0, 0), (True, 1), (1, 1.5), (0, False), (-1, 0)]
+)
+def test_moment_order_is_an_integer_at_least_zero(p, q):
+    # a float escaped as a TypeError, and True read as the order 1
+    with pytest.raises(ValueError, match="moment order [pq] must be an integer >= 0"):
+        normally_ordered_moment(make_state("coherent", 16, alpha=0.5), p, q)
 
 
 def test_moment_warns_when_truncation_bites():
@@ -440,3 +485,53 @@ def test_tensor_product_keeps_diagonal_rank():
     assert joint.weights.shape == (d,)
     pairs = make_state("phase_diffused_tmsv", d, omega=0.1)
     assert pairs.kets.shape == (d, d, d)
+
+
+# --- memory -----------------------------------------------------------------
+
+
+def _allocated(call):
+    # peak bytes traced during the call beyond what was held before it
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _displaced_thermal_vacuum(d):
+    rho = make_state("displaced_thermal", d, alpha=0.8 + 0.3j, nbar=0.5)
+    return tensor_product(rho, make_state("vacuum", d))
+
+
+def test_tensor_product_kets_are_c_contiguous():
+    # the eigenvector kets of a non-diagonal input are a transposed view
+    joint = _displaced_thermal_vacuum(48)
+    assert joint.kets.flags.c_contiguous
+
+
+def test_unitaries_allocate_only_their_output():
+    # an output copy of the kets plus block-sized work, nothing else ket-sized
+    inp = _displaced_thermal_vacuum(48)
+    unitaries = [
+        lambda: apply_beam_splitter(inp, BeamSplitterConfig(0.7)),
+        lambda: apply_two_mode_squeezer(inp, SqueezerConfig.from_mu(1.4), tail_tol=1e-6),
+    ]
+    for unitary in unitaries:
+        assert _allocated(unitary) <= 1.25 * inp.kets.nbytes
+
+
+def test_conditioning_allocates_one_block_stack():
+    det = DetectorConfig(16, 0.6)
+    joint = apply_two_mode_squeezer(
+        _displaced_thermal_vacuum(48), SqueezerConfig.from_mu(1.4), tail_tol=1e-6
+    )
+
+    def condition_every_k():
+        for k in range(det.N + 1):
+            condition_on_clicks(joint, det, k)
+
+    assert _allocated(condition_every_k) <= 1.25 * joint.kets.nbytes
