@@ -6,14 +6,15 @@ pipeline.  A one-mode state is a read-only (d, d) complex array; a
 conditioned one is unnormalized, its trace the probability of the
 conditioning event.  Two-mode states are weighted ket ensembles,
 rho = sum_j w_j |psi_j><psi_j|: n d^2 amplitudes for n kets rather than d^4
-matrix entries.  Both unitaries conserve an integer label (total photon
-number for the beam splitter, photon-number difference for the two-mode
-squeezer), so the truncated generator is exponentiated block by block,
-exactly.  Every block is real, antisymmetric and tridiagonal, so its
+matrix entries.  Each optical element is one generator, coupling (p, r) to
+(p+1, r+dr): dr = -1 for the beam splitter (total photon number conserved),
++1 for the two-mode squeezer (photon-number difference conserved).  So the
+truncated generator splits into 2d - 1 chains, exponentiated one by one,
+exactly.  Every chain is real, antisymmetric and tridiagonal, so its
 exponential is real and comes from one real SVD of its half-size bidiagonal
-coupling, O(d^3) per block.  Only the columns at basis states the kets
-populate are built and applied: O(n d c) per block for c populated columns,
-and c = 1 for every rho (x) |0> (a unitary maps zero to zero, so a block the
+coupling, O(d^3) per chain.  Only the columns at basis states the kets
+populate are built and applied: O(n d c) per chain for c populated columns,
+and c = 1 for every rho (x) |0> (a unitary maps zero to zero, so a chain the
 kets leave empty costs nothing).  A unitary holds its input kets and its
 output kets and nothing else ket-sized; the detector stage holds its kets
 and one (d_B, d_A, d_A) block stack.  Normally ordered moments read one
@@ -187,8 +188,13 @@ def make_state(
     if kind == "displaced_thermal":
         if nbar == 0:
             return make_state("coherent", d, alpha=alpha, tail_tol=tail_tol)
-        work = 2 * d + 32
-        probs = photon_distribution(make_state("thermal", work, nbar=nbar, tail_tol=1e-14))
+        work, q = 2 * d + 32, nbar / (nbar + 1.0)
+        if q**work > 1e-14:  # the work basis keeps its own guard, whatever tail_tol is
+            raise CutoffError(
+                f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar}) at cutoff {d} "
+                f"has tail {q ** work:.3g} > 1e-14 beyond its {work}-level work basis"
+            )
+        probs = (1.0 - q) * q ** np.arange(work)
         # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a) and
         # D(|alpha|) real; its kept rows are the first columns of D(|alpha|)^T
         # = D(-|alpha|)
@@ -244,29 +250,40 @@ def photon_distribution(state: np.ndarray) -> np.ndarray:
     return np.diag(state).real.copy()
 
 
-# --- mode unitaries via block exponentiation of the truncated generator ------
+# --- mode unitaries via chain exponentiation of the truncated generator ------
 
 
-def _apply_blockwise(
-    state: TwoModeDensityMatrix,
-    blocks: list[tuple[np.ndarray, np.ndarray]],
-    tail_tol: float,
-    what: str,
+def _apply_chains(
+    state: TwoModeDensityMatrix, dr: int, g: float, tail_tol: float, what: str
 ) -> TwoModeDensityMatrix:
-    """|psi_j> -> U |psi_j> for U = direct sum of blocks exp(G), each given as
-    (indices, coupling vector of G).  Only the columns of exp(G) at basis
-    states the kets populate are built, so a block the kets leave empty costs
-    nothing (a unitary maps zero to zero)."""
-    d_a, d_b = state.cutoffs
-    flat = np.array(state.kets, order="C").reshape(-1, d_a * d_b)  # the one output copy
+    """|psi_j> -> exp(G) |psi_j> for the real antisymmetric G that couples
+    (p, r) to (p+1, r+dr) with amplitude g sqrt((p+1) max(r, r+dr)).
+
+    G conserves r - dr p, so it splits into 2d - 1 tridiagonal chains.  Only
+    the columns of a chain's exponential at basis states the kets populate are
+    built, so a chain the kets leave empty costs nothing.
+    """
+    _check_tail_tol(tail_tol)
+    if state.cutoffs[0] != state.cutoffs[1]:
+        raise ValueError(f"cutoffs must match, got {state.cutoffs}")
+    if g == 0.0:
+        return state
+    d = state.cutoffs[0]
+    flat = np.array(state.kets, order="C").reshape(-1, d * d)  # the one output copy
     populated = flat.any(axis=0)
-    for idx, s in blocks:
+    p = np.arange(d)
+    first = min(0, -dr * (d - 1))  # the least chain label r - dr p
+    for label in range(first, first + 2 * d - 1):
+        r = label + dr * p
+        idx = (p * d + r)[(r >= 0) & (r < d)]
         cols = np.flatnonzero(populated[idx])
         if cols.size:
+            ps, rs = np.divmod(idx[:-1], d)
+            s = g * np.sqrt((ps + 1) * np.maximum(rs, rs + dr))
             flat[:, idx] = flat[:, idx[cols]] @ _expm_tridiagonal(s, cols).T
 
     f = flat.view(float)  # real and imaginary parts side by side, not copied
-    diag = np.einsum("j,jx,jx->x", state.weights, f, f).reshape(d_a, d_b, 2).sum(axis=2)
+    diag = np.einsum("j,jx,jx->x", state.weights, f, f).reshape(d, d, 2).sum(axis=2)
     boundary = float(diag[-1, :].sum() + diag[:, -1].sum() - diag[-1, -1])
     total = float(diag.sum())
     if total > 0 and boundary > tail_tol * total:
@@ -274,30 +291,7 @@ def _apply_blockwise(
             f"{what}: boundary occupancy {boundary / total:.3g} exceeds the tail "
             f"tolerance {tail_tol}; increase the cutoff"
         )
-    return TwoModeDensityMatrix(state.weights, _readonly(flat.reshape(-1, d_a, d_b)))
-
-
-def _beam_splitter_blocks(theta: float, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of exp(theta (a b^dag - a^dag b)); total photon number conserved."""
-    blocks = []
-    for total in range(2 * d - 1):
-        ps = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
-        p, r = ps[:-1], total - ps[:-1]
-        # -a^dag b couples (p+1, r-1) <- (p, r) with amplitude -sqrt((p+1) r);
-        # this orientation sends |alpha, 0> to |t alpha, +r alpha>
-        blocks.append((ps * d + (total - ps), -theta * np.sqrt((p + 1) * r)))
-    return blocks
-
-
-def _squeezer_blocks(xi: float, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of exp(xi (a^dag b^dag - a b)); photon-number difference conserved."""
-    blocks = []
-    for diff in range(-(d - 1), d):
-        ps = np.arange(max(0, diff), min(d, d + diff))
-        p, r = ps[:-1], ps[:-1] - diff
-        # a^dag b^dag couples (p+1, r+1) <- (p, r): amplitude sqrt((p+1)(r+1))
-        blocks.append((ps * d + (ps - diff), xi * np.sqrt((p + 1) * (r + 1))))
-    return blocks
+    return TwoModeDensityMatrix(state.weights, _readonly(flat.reshape(-1, d, d)))
 
 
 def apply_beam_splitter(
@@ -308,13 +302,9 @@ def apply_beam_splitter(
     """Mix the two modes on a beam splitter; |alpha, 0> maps to |t alpha, r alpha>.
 
     Built as exp(theta (a b^dag - a^dag b)) with t = cos(theta), exponentiated
-    block by block over the conserved total photon number.
+    chain by chain over the conserved total photon number.
     """
-    _check_tail_tol(tail_tol)
-    if state.cutoffs[0] != state.cutoffs[1]:
-        raise ValueError(f"cutoffs must match, got {state.cutoffs}")
-    blocks = _beam_splitter_blocks(math.acos(bs.t), state.cutoffs[0])
-    return _apply_blockwise(state, blocks, tail_tol, "beam splitter")
+    return _apply_chains(state, -1, -math.acos(bs.t), tail_tol, "beam splitter")
 
 
 def apply_two_mode_squeezer(
@@ -322,18 +312,13 @@ def apply_two_mode_squeezer(
     sq: SqueezerConfig,
     tail_tol: float = UNITARY_TAIL_TOL,
 ) -> TwoModeDensityMatrix:
-    """Two-mode squeezing exp(xi (a^dag b^dag - a b)).
+    """Two-mode squeezing exp(xi (a^dag b^dag - a b)), exponentiated chain by
+    chain over the conserved photon-number difference.
 
     Vacuum input acquires weights (1/mu^2) (nu/mu)^(2m) on |m, m>; mode
     amplitudes transform with gain mu = cosh(xi).
     """
-    _check_tail_tol(tail_tol)
-    if state.cutoffs[0] != state.cutoffs[1]:
-        raise ValueError(f"cutoffs must match, got {state.cutoffs}")
-    if sq.xi == 0.0:
-        return state
-    blocks = _squeezer_blocks(sq.xi, state.cutoffs[0])
-    return _apply_blockwise(state, blocks, tail_tol, "two-mode squeezer")
+    return _apply_chains(state, 1, sq.xi, tail_tol, "two-mode squeezer")
 
 
 # --- conditioning and moments ------------------------------------------------

@@ -289,9 +289,11 @@ def moment(mixture: PhaseSpaceMixture, p: int, q: int) -> complex:
     Closed form; supported up to total order p + q <= 6.  NumericalError
     where the result leaves the float range, as ``integral`` does.
     """
+    check_count(p, "moment order p", 0)
+    check_count(q, "moment order q", 0)
     contractions = _CONTRACTIONS.get((p, q))
     if contractions is None:
-        raise ValueError(f"moment orders must be >= 0 with p+q <= {MAX_MOMENT_ORDER}, got ({p}, {q})")
+        raise ValueError(f"moment orders must satisfy p+q <= {MAX_MOMENT_ORDER}, got ({p}, {q})")
     total = 0j
     try:
         for c, z in zip(mixture.dc, mixture.dz):

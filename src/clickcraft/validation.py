@@ -159,6 +159,13 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
     Each (j1, j2) term of the double binomial expansion is the Gaussian
     (f / pi) exp(-l2 |alpha|^2 + 2 l1 Re(alpha conj(beta)) - l0 |beta|^2)
     completed to center (l1 / l2) beta.
+
+    The signed terms cancel, so floats hold it only for small N.  With the
+    table1 optics (mu = 1.5, t = 2/3, eta = 0.5, beta = sqrt(2)) and
+    N1 = N2 = N, the worst (k1, k2) probability is off by 1.5e-12 relative
+    (against 50-digit arithmetic) at N = 4, 4.3e-7 at N = 8 and 28% at
+    N = 12; the probabilities sum to 1 - 3.3e-11 at N = 8, 1 + 8.6e-4 at
+    N = 16 and 0.40 at N = 20.
     """
     beta = complex(beta)
     mu, nu = spec.add.sq.mu, spec.add.sq.nu
@@ -225,6 +232,12 @@ def probability_subtraction_displaced_thermal(
     Closed form with gamma_j = 1 + eta r^2 nbar (1 - j/N); the exponent is
     written as eta r^2 (1 - j/N) |alpha0|^2 / gamma_j, which carries the
     nbar -> 0 (coherent input) limit without any 0/0.
+
+    The alternating sum cancels, so floats hold it only for small N.  At
+    alpha0 = 0.8+0.3i, nbar = 2, t = 0.7, eta = 0.8 the worst k is off by
+    1.1e-10 relative (against 50-digit arithmetic) at N = 8, 2.3e-8 at N = 12
+    and 7.3e-4 at N = 16; the sum over k is 1 + 4.0e-11 at N = 16, 1.011 at
+    N = 32 and -7.6e12 at N = 64.
     """
     check_displaced_thermal(alpha0, nbar)
     return _gamma_sum(alpha0, nbar, spec.det.eta * spec.bs.r**2, spec.det.N, spec.k)
@@ -237,6 +250,12 @@ def probability_addition_displaced_thermal(
 
     gamma_j = 1 + eta nu^2 (nbar + 1) (1 - j/N); the exponent
     eta nu^2 (1 - j/N) |alpha0|^2 / gamma_j is regular for every nbar >= 0.
+
+    The alternating sum cancels, so floats hold it only for small N.  At
+    alpha0 = 0.8+0.3i, nbar = 2, mu = 1.4, eta = 0.8 the worst k is off by
+    1.1e-10 relative (against 50-digit arithmetic) at N = 12, 7.0e-8 at
+    N = 16 and 2.4e-2 at N = 24; the sum over k is 1 + 2.9e-10 at N = 16,
+    1.0023 at N = 32 and 1.7e12 at N = 64.
     """
     check_displaced_thermal(alpha0, nbar)
     return _gamma_sum(alpha0, nbar + 1.0, spec.det.eta * spec.sq.nu**2, spec.det.N, spec.k)

@@ -106,6 +106,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_clickstats_displaced_thermal_cutoff_error_names_the_input(tmp_path, capsys):
+    # the message named "thermal nbar=5" at "cutoff 52", the oracle's work basis
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema": 1,
+            "protocol": "clickstats",
+            "input": {"kind": "displaced_thermal", "alpha": 0.1, "nbar": 5, "cutoff": 10},
+            "detector": {"N": 4, "eta": 0.5},
+        },
+    )
+    assert main(["clickstats", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "displaced thermal (|alpha|=0.1, nbar=5.0) at cutoff 10 " in err
+    assert "52-level work basis" in err
+
+
 def test_herald_cutoff_below_tail_is_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         **HERALD_CONFIG,

@@ -75,6 +75,17 @@ def test_cutoff_errors():
         make_state("phase_diffused_tmsv", 6, omega=0.9)
 
 
+@pytest.mark.parametrize("tol", [None, 1.0], ids=["default", "guard_off"])
+def test_displaced_thermal_work_basis_error_names_the_state(tol):
+    # named "thermal nbar=5 has tail 7.63e-05 at cutoff 52", the work basis
+    kwargs = {} if tol is None else {"tail_tol": tol}
+    with pytest.raises(CutoffError) as info:
+        make_state("displaced_thermal", 10, alpha=0.1, nbar=5, **kwargs)
+    message = str(info.value)
+    assert message.startswith("displaced thermal (|alpha|=0.1, nbar=5) at cutoff 10 ")
+    assert "7.63e-05" in message and "52-level work basis" in message
+
+
 @pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
 def test_fock_state_needs_a_photon_number(n):
     # n = -1 raised CutoffError, 2.5 an IndexError, and True gave a trace of 8
@@ -199,10 +210,18 @@ def test_beam_splitter_preserves_trace_and_hermiticity():
     assert np.abs(out.entries - out.entries.conj().transpose(1, 0, 3, 2)).max() < 1e-10
 
 
-def test_beam_splitter_rejects_mismatched_cutoffs():
+UNITARIES = {
+    "beam_splitter": lambda state: apply_beam_splitter(state, BeamSplitterConfig(0.7)),
+    "squeezer": lambda state: apply_two_mode_squeezer(state, SqueezerConfig(0.3)),
+    "squeezer_identity": lambda state: apply_two_mode_squeezer(state, SqueezerConfig(0.0)),
+}
+
+
+@pytest.mark.parametrize("unitary", sorted(UNITARIES))
+def test_unitaries_reject_mismatched_cutoffs(unitary):
     bad = tensor_product(make_state("vacuum", 6), make_state("vacuum", 8))
-    with pytest.raises(ValueError):
-        apply_beam_splitter(bad, BeamSplitterConfig(0.7))
+    with pytest.raises(ValueError, match="cutoffs must match"):
+        UNITARIES[unitary](bad)
 
 
 def test_beam_splitter_config_validation():

@@ -1,6 +1,7 @@
 """Phase-space mixture maps: closed forms, pointwise correctness, closure."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,13 @@ def test_moment_displaced_thermal_mean():
 def test_moment_order_cap():
     with pytest.raises(ValueError):
         moment(PhaseSpaceMixture.vacuum(), 4, 3)
+    # an order is an int or a numpy integer >= 0; a bool, an integral float
+    # and a Fraction each returned the <a^dag a> = 0.45 of (1, 1)
+    mix = PhaseSpaceMixture.displaced_thermal(0.5, 0.2)
+    for p, q in [(True, 1), (1.0, 1), (Fraction(1), 1), (1, False), (1, np.float64(1)), (-1, 1)]:
+        with pytest.raises(ValueError, match="integer >= 0"):
+            moment(mix, p, q)
+    assert moment(mix, np.int64(1), np.int32(1)) == moment(mix, 1, 1) == pytest.approx(0.45)
 
 
 # --- grid evaluation --------------------------------------------------------
