@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
     )
     assert main(["amplify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "invalid parameters" in capsys.readouterr().err
+
+
+ERRORBOUND = ["errorbound", "--eta", "0.5", "--k", "1", "--N", "2,4"]
+
+
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [(["subtract", "--config", str(CONFIGS / "fig3.json")], "summary.json"),
+     (ERRORBOUND, "errorbound.csv"),
+     ([*ERRORBOUND, "--format", "json"], "errorbound.json"),
+     ([*ERRORBOUND, "--manifest"], "manifest.json")],
+    ids=["summary", "csv", "json", "manifest"],
+)
+def test_unwritable_output_file_is_validation_error(tmp_path, capsys, argv, blocked):
+    # a directory where an output file goes escaped as an IsADirectoryError
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid parameters: cannot write {tmp_path / blocked}: " in err
+    assert "Traceback" not in err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -1018,8 +1039,11 @@ def reference_distribution(fmt, columns):
 @pytest.mark.parametrize(
     "n_re,n_im,values",
     [(1, 1, special_values), (1, 7, special_values), (7, 1, special_values),
-     (5, 4, special_values), (16, 3, special_values), (12, 9, repeated_values)],
-    ids=["1-1", "1-7", "7-1", "5-4", "16-3", "12-9-repeats"],
+     (5, 4, special_values), (16, 3, special_values), (12, 9, repeated_values),
+     (70, 40, special_values), (70, 40, repeated_values), (1, 5000, special_values),
+     (1, 5000, repeated_values)],
+    ids=["1-1", "1-7", "7-1", "5-4", "16-3", "12-9-repeats", "70-40", "70-40-repeats",
+         "1-5000", "1-5000-repeats"],
 )
 def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im, values):
     grid = GridSpec(-1e-300, 2.5, -3.0, 1 / 3, n_re, n_im)
@@ -1031,8 +1055,9 @@ def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im, valu
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "length,values",
-    [(0, special_values), (1, special_values), (17, special_values), (40, repeated_values)],
-    ids=["0", "1", "17", "40-repeats"],
+    [(0, special_values), (1, special_values), (17, special_values), (40, repeated_values),
+     (5000, special_values), (5000, repeated_values)],
+    ids=["0", "1", "17", "40-repeats", "5000", "5000-repeats"],
 )
 def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length, values):
     tables = [
@@ -1045,3 +1070,21 @@ def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length, 
     for stem, columns in enumerate(tables):
         (name,) = _write_distribution(tmp_path, f"d{stem}", fmt, columns)
         assert (tmp_path / name).read_bytes() == reference_distribution(fmt, columns).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_writer_memory_grows_with_distinct_values_not_the_file(tmp_path, fmt):
+    # the distinct texts, their index and one row: under 100 bytes a cell on
+    # a grid of distinct values, where a writer that builds the whole file
+    # in memory peaks at 137 (JSON) to 256 (CSV)
+    grid = GridSpec(-2.5, 2.5, -2.5, 2.5, 301, 301)
+    matrix = np.random.default_rng(7).normal(size=(301, 301))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _write_grid(tmp_path, "grid", fmt, matrix, grid)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * matrix.size
