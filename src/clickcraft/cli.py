@@ -25,7 +25,9 @@ Exit codes: 0 success, 1 config parse error, 2 parameter validation error
 (or an output directory that cannot be created, or an output file that
 cannot be written), 3 numerical failure (a result failed a numerical sanity
 check, or a cutoff could not hold the requested tail tolerance:
-``NumericalError``, of which ``CutoffError`` is one kind).
+``NumericalError``, of which ``CutoffError`` is one kind).  Exit 3 writes no
+output file, as each runner computes its results before its first file; an
+output file that cannot be written (exit 2) leaves the files written before it.
 """
 
 from __future__ import annotations
@@ -378,13 +380,10 @@ def _write_distribution(
     return [_write_json(outdir / f"{stem}.json", payload)]
 
 
-def _write_per_click(outdir: Path, clicks: list[int], write_one) -> list[str]:
-    """The files of each click number k, written by ``write_one(k) -> (names,
-    probability of k clicks)``, then ``summary.json`` of those probabilities."""
-    results = [write_one(k) for k in clicks]
-    summary = {"clicks": clicks, "probabilities": [p for _, p in results]}
-    files = [name for names, _ in results for name in names]
-    return files + [_write_json(outdir / "summary.json", summary)]
+def _write_summary(outdir: Path, results: dict) -> str:
+    """``summary.json``: each click number of ``results`` and its probability."""
+    summary = {"clicks": list(results), "probabilities": [r.probability for r in results.values()]}
+    return _write_json(outdir / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +397,14 @@ def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], 
     det = _detector_from(config["detector"])
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = None if config.get("cutoff") is None else _integer(config["cutoff"], "cutoff")
-
-    def write_one(k: int) -> tuple[list[str], float]:
-        res = herald_tmsv_distribution(omega, det, k, cutoff)
+    results = {k: herald_tmsv_distribution(omega, det, k, cutoff) for k in clicks}
+    files = []
+    for k, res in results.items():
         columns = {"n": np.arange(res.weights.size), "weight": res.weights,
                    "normalized": res.normalized}
-        return _write_distribution(outdir, f"herald_k{k}", fmt, columns), res.probability
-
+        files += _write_distribution(outdir, f"herald_k{k}", fmt, columns)
     resolved = {"omega": omega, "detector": asdict(det), "clicks": clicks}
-    return _write_per_click(outdir, clicks, write_one), resolved
+    return files + [_write_summary(outdir, results)], resolved
 
 
 def _conditioning_protocol(
@@ -427,14 +425,13 @@ def _conditioning_protocol(
         spec, run = AdditionSpec(sq, det, 0), add
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
     clicks = _clicks_list(config.get("clicks"), det.N)
-
-    def write_one(k: int) -> tuple[list[str], float]:
-        outcome = run(p_in, replace(spec, k=k))
-        return _write_outcome(outdir, f"k{k}", fmt, outcome, grid), outcome.probability
-
+    results = {k: run(p_in, replace(spec, k=k)) for k in clicks}
+    files = []
+    for k, outcome in results.items():
+        files += _write_outcome(outdir, f"k{k}", fmt, outcome, grid)
     resolved = {"detector": asdict(det), "optics": resolved_optics, "clicks": clicks,
                 "eta_eff": spec.eta_eff}
-    return _write_per_click(outdir, clicks, write_one), resolved
+    return files + [_write_summary(outdir, results)], resolved
 
 
 def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:

@@ -39,7 +39,7 @@ from .dsymbol import CutoffError, check_count
 from .pfunc import check_displaced_thermal
 from .povm import DetectorConfig, click_povm_element
 from .processes import _KIND_KEYWORDS, DEFAULT_TAIL_TOL, BeamSplitterConfig, ProcessOutcome
-from .processes import SqueezerConfig
+from .processes import SqueezerConfig, geometric_weights
 
 UNITARY_TAIL_TOL = 1e-8
 
@@ -178,23 +178,16 @@ def make_state(
             )
         return _readonly(np.outer(amps, amps.conj()))
     if kind == "thermal":
-        if nbar == 0:
-            return make_state("fock", d)
-        q = nbar / (nbar + 1.0)
-        if q**d > tail_tol:
-            raise CutoffError(f"thermal nbar={nbar} has tail {q ** d:.3g} at cutoff {d}")
-        probs = (1.0 - q) * q ** np.arange(d)
+        # + 0.0 makes nbar = -0.0 a q of +0.0, whose weights are the vacuum's bits
+        probs = geometric_weights(nbar / (nbar + 1.0) + 0.0, d, tail_tol, f"thermal nbar={nbar}")
         return _readonly(np.diag(probs).astype(complex))
     if kind == "displaced_thermal":
         if nbar == 0:
             return make_state("coherent", d, alpha=alpha, tail_tol=tail_tol)
-        work, q = 2 * d + 32, nbar / (nbar + 1.0)
-        if q**work > 1e-14:  # the work basis keeps its own guard, whatever tail_tol is
-            raise CutoffError(
-                f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar}) at cutoff {d} "
-                f"has tail {q ** work:.3g} > 1e-14 beyond its {work}-level work basis"
-            )
-        probs = (1.0 - q) * q ** np.arange(work)
+        name, work = f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar})", 2 * d + 32
+        # the work basis keeps its own 1e-14 guard, whatever tail_tol is
+        probs = geometric_weights(nbar / (nbar + 1.0), work, 1e-14,
+                                  f"{name} at cutoff {d} in its {work}-level work basis")
         # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a) and
         # D(|alpha|) real; its kept rows are the first columns of D(|alpha|)^T
         # = D(-|alpha|)
@@ -203,23 +196,15 @@ def make_state(
         rho = rot[:, None] * ((disp * probs) @ disp.T) * rot.conj()
         kept = float(np.trace(rho).real)
         if kept < 1.0 - tail_tol:
-            raise CutoffError(
-                f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar}) keeps "
-                f"only {kept:.12f} below cutoff {d}"
-            )
+            raise CutoffError(f"{name} keeps only {kept:.12f} below cutoff {d}")
         return _readonly(rho)
     # phase_diffused_tmsv
     if not 0.0 < omega < 1.0:
         raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
-    if omega**d > tail_tol:
-        raise CutoffError(
-            f"phase-diffused pair state omega={omega} has tail {omega ** d:.3g} "
-            f"at cutoff {d}"
-        )
+    weights = geometric_weights(omega, d, tail_tol, f"phase-diffused pair state omega={omega}")
     kets = np.zeros((d, d, d), dtype=complex)
     m = np.arange(d)
     kets[m, m, m] = 1.0
-    weights = (1.0 - omega) * omega**m
     return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
 
 

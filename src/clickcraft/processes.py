@@ -201,6 +201,15 @@ class HeraldedDistribution:
         return self.weights / probability if probability > 0 else self.weights
 
 
+def geometric_weights(q: float, cutoff: int, tail_tol: float, what: str) -> np.ndarray:
+    """The geometric photon distribution (1-q) q^n, n < cutoff, of a thermal
+    state (q = nbar/(nbar+1)) or of either arm of the pair source (q = omega);
+    ``CutoffError`` naming ``what`` when its tail q**cutoff exceeds ``tail_tol``."""
+    if q**cutoff > tail_tol:
+        raise CutoffError(f"{what} has tail {q ** cutoff:.3g} at cutoff {cutoff}")
+    return (1.0 - q) * q ** np.arange(cutoff)
+
+
 def herald_tmsv_distribution(
     omega: float, det: DetectorConfig, k: int, cutoff: int | None = None
 ) -> HeraldedDistribution:
@@ -218,13 +227,9 @@ def herald_tmsv_distribution(
     if cutoff is None:  # a tail of at most 1e-18
         cutoff = max(k + 8, math.ceil(math.log(1e-18) / math.log(omega)))
     check_count(cutoff, "cutoff")
-    if omega**cutoff > DEFAULT_TAIL_TOL:
-        raise CutoffError(
-            f"phase-diffused pair state omega={omega} has tail {omega ** cutoff:.3g} "
-            f"at cutoff {cutoff}"
-        )
-    table = click_kernel_table(det, k, cutoff - 1)
-    return HeraldedDistribution((1.0 - omega) * omega ** np.arange(cutoff) * table.values[k])
+    what = f"phase-diffused pair state omega={omega}"
+    pairs = geometric_weights(omega, cutoff, DEFAULT_TAIL_TOL, what)
+    return HeraldedDistribution(pairs * click_kernel_table(det, k, cutoff - 1).values[k])
 
 
 # ---------------------------------------------------------------------------

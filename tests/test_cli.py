@@ -180,6 +180,28 @@ def test_click_factor_past_float_range_is_numerical_failure(tmp_path, capsys):
     assert not list(out.glob("terms_*"))
 
 
+@pytest.mark.parametrize("protocol,optics", [("subtract", {"t": 0.7}), ("add", {"mu": 1.4})],
+                         ids=["subtract", "add"])
+def test_numerical_failure_writes_no_file(tmp_path, capsys, protocol, optics):
+    # k = 0 passes and k = 550 fails; this used to leave terms_k0.json and
+    # pfunction_k0.csv behind
+    payload = {**ADD_CONFIG, "protocol": protocol, "optics": optics,
+               "detector": {"N": 1100, "eta": 0.5}, "clicks": [0, 550], "grid": SMALL_GRID}
+    out = tmp_path / "out"
+    assert main([protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_herald_pair_weight_of_one_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**HERALD_CONFIG, "input": {"kind": "phase_diffused_tmsv",
+                                                              "omega": 1.0}})
+    out = tmp_path / "out"
+    assert main(["herald", "--config", cfg, "--out", str(out)]) == 2
+    assert "invalid parameters: pair weight must satisfy 0 < omega < 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_clickstats_vacuum(tmp_path):
     cfg = write_config(
         tmp_path,

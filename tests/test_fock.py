@@ -75,6 +75,24 @@ def test_cutoff_errors():
         make_state("phase_diffused_tmsv", 6, omega=0.9)
 
 
+@pytest.mark.parametrize("nbar", [0.0, -0.0], ids=["zero", "negative_zero"])
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_thermal_at_zero_nbar_is_the_vacuum(d, nbar):
+    # q = 0 gives the geometric weights 1, 0, 0, ..., the vacuum projector
+    rho = make_state("thermal", d, nbar=nbar)
+    vacuum = make_state("vacuum", d)
+    assert rho.dtype == vacuum.dtype and rho.shape == vacuum.shape
+    assert rho.tobytes() == vacuum.tobytes()
+    assert not rho.flags.writeable
+
+
+def test_thermal_cutoff_error_names_the_state_and_its_tail():
+    # (5/6)**10 = 0.1615 of the weight lies at n >= 10
+    with pytest.raises(CutoffError) as info:
+        make_state("thermal", 10, nbar=5)
+    assert str(info.value) == "thermal nbar=5 has tail 0.162 at cutoff 10"
+
+
 @pytest.mark.parametrize("tol", [None, 1.0], ids=["default", "guard_off"])
 def test_displaced_thermal_work_basis_error_names_the_state(tol):
     # named "thermal nbar=5 has tail 7.63e-05 at cutoff 52", the work basis

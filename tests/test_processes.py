@@ -113,6 +113,20 @@ def test_herald_explicit_cutoff_below_tail_is_cutoff_error():
         herald_tmsv_distribution(0.9, det, 1, 218)
 
 
+PAIR_SOURCE_USERS = {
+    "herald": lambda omega: herald_tmsv_distribution(omega, DetectorConfig(4, 0.9), 1, 40),
+    "make_state": lambda omega: make_state("phase_diffused_tmsv", 40, omega=omega),
+}
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("user", sorted(PAIR_SOURCE_USERS))
+def test_pair_weight_outside_the_open_unit_interval_is_value_error(user, omega):
+    with pytest.raises(ValueError, match="0 < omega < 1") as info:
+        PAIR_SOURCE_USERS[user](omega)
+    assert not isinstance(info.value, NumericalError)
+
+
 def test_herald_fidelity_grows_with_diode_count():
     fidelities = [
         herald_tmsv_distribution(0.25, DetectorConfig(n, 1.0), 1).normalized[1]
