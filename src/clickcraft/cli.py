@@ -8,16 +8,17 @@ come from a single versioned JSON config ("schema": 1); a handful of flags
 override config fields for sweeps.  Outputs are deterministic: fixed file
 names, fixed field order, 17-significant-digit decimal floats, LF line
 endings, no timestamps, so identical configs produce byte-identical files.
-The writers encode each distinct float bit pattern of an array once and
-place its text in every cell that holds it: P-function grids of
-phase-invariant or real-axis states repeat most of their cells.  Distinct
-means distinct bits, not values, because ``-0.0 == 0.0`` prints as ``-0``
-and ``0``, and a deduplication by value would also merge every NaN.
-The writers stream: a file is written a CSV grid row or a chunk of cells at
-a time, so a writer holds the distinct texts of one array, its index into
-them and one row, not a multiple of the file.  On a 301 x 301 grid of
-distinct values, a grid writer's tracemalloc peak is about 94 bytes per
-cell as CSV or JSON (256 and 137 when each file was built whole), and
+Runners return their files, which ``main`` writes.  One encoder, ``_texts``,
+makes every number's text: it encodes each distinct float bit pattern of an
+array once and places its text in every cell that holds it, as P-function
+grids of phase-invariant or real-axis states repeat most of their cells.
+Distinct means distinct bits, not values, because ``-0.0 == 0.0`` prints as
+``-0`` and ``0``, and a deduplication by value would also merge every NaN.
+A file's text is made as it is written, a CSV grid row or a chunk of cells
+at a time, so a writer holds the distinct texts of one array, its index
+into them and one row, not a multiple of the file.  On a 301 x 301 grid of
+distinct values, a grid file's tracemalloc peak is about 94 bytes per cell
+as CSV or JSON (256 and 137 when each file was built whole), and
 ``clickcraft subtract`` with fig3's optics at k = 3 on a 1001 x 1001 grid
 peaks near 90 MB RSS in both formats (268 MB as CSV and 151 MB as JSON).
 
@@ -25,9 +26,9 @@ Exit codes: 0 success, 1 config parse error, 2 parameter validation error
 (or an output directory that cannot be created, or an output file that
 cannot be written), 3 numerical failure (a result failed a numerical sanity
 check, or a cutoff could not hold the requested tail tolerance:
-``NumericalError``, of which ``CutoffError`` is one kind).  Exit 3 writes no
-output file, as each runner computes its results before its first file; an
-output file that cannot be written (exit 2) leaves the files written before it.
+``NumericalError``, of which ``CutoffError`` is one kind).  A run that exits
+2 or 3 removes every file it wrote, and an overwritten file's old content is
+not restored.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,42 +77,51 @@ class ConfigError(Exception):
 # writer's pieces and temporaries stay this size whatever the array's size
 _CHUNK = 2048
 
+# an output file: its name and its text pieces, made as the file is written
+_File = tuple[str, Iterator[str]]
 
-def _write(path: Path, pieces: Iterable[str]) -> str:
+
+def _write(path: Path, pieces: Iterable[str]) -> None:
     """Write the text ``pieces`` to ``path`` as they are produced (UTF-8, LF
     endings).  A file that cannot be written is an invalid parameter that
-    names it."""
+    names it.  A file that fails partway is removed; a path that could not
+    be opened is left as it was."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.writelines(pieces)
+        out = open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            with out:
+                out.writelines(pieces)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return path.name
 
 
-def _float_texts(values: np.ndarray, as_json: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct texts of the floats of ``values``, ``%.17g`` or the JSON
-    encoder's (``NaN``, ``Infinity``, ``float.__repr__``), as an object array,
-    and the index into them of each float in flat order.  Each distinct bit
-    pattern is encoded once, ``_CHUNK`` of them per formatting call."""
-    bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    distinct = distinct.view(np.float64)
+def _texts(values, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct texts of the cells of ``values``, as an object array, and
+    the index into them of each cell in flat order.  ``fmt`` is a ``%``
+    format or ``"json"``, the JSON encoder's text (``NaN``, ``Infinity``,
+    ``float.__repr__``).  Floats are distinct by bit pattern, other cells by
+    value; each distinct one is encoded once, ``_CHUNK`` per formatting call."""
+    values = np.asarray(values).ravel()
+    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(values.dtype)
     texts = np.empty(len(distinct), dtype=object)
     for start in range(0, len(distinct), _CHUNK):
         chunk = distinct[start : start + _CHUNK].tolist()
-        if as_json:
+        if fmt == "json":
             texts[start : start + _CHUNK] = json.dumps(chunk)[1:-1].split(", ")
         else:
-            texts[start : start + _CHUNK] = ("%.17g\n" * len(chunk) % tuple(chunk)).split()
+            texts[start : start + _CHUNK] = (f"{fmt}\n" * len(chunk) % tuple(chunk)).split()
     return texts, inverse
 
 
-def _json_array(values: np.ndarray, depth: int) -> Iterator[str]:
+def _json_array(values: np.ndarray, depth: int, fmt: str) -> Iterator[str]:
     """The pieces of ``values.tolist()`` laid out as ``json.dumps(...,
-    indent=1)`` lays it out at nesting ``depth``: ``_CHUNK`` cells of a row
-    per piece, float rows through ``_float_texts``, other rows through the
-    C encoder."""
+    indent=1)`` lays it out at nesting ``depth``, each cell's text by
+    ``_texts`` in ``fmt``: ``_CHUNK`` cells of a row per piece."""
     if not len(values):
         yield "[]"
         return
@@ -120,36 +131,27 @@ def _json_array(values: np.ndarray, depth: int) -> Iterator[str]:
     if values.ndim > 1:
         for i, row in enumerate(values):
             yield sep if i else ""
-            yield from _json_array(row, depth + 1)
+            yield from _json_array(row, depth + 1, fmt)
     else:
-        floats = values.dtype.kind == "f"
-        if floats:
-            texts, inverse = _float_texts(values, as_json=True)
+        texts, inverse = _texts(values, fmt)
         for start in range(0, len(values), _CHUNK):
-            cells = slice(start, start + _CHUNK)
             yield sep if start else ""
-            if floats:
-                yield sep.join(texts[inverse[cells]].tolist())
-            else:
-                yield json.dumps(values[cells].tolist(), separators=(sep, ": "))[1:-1]
+            yield sep.join(texts[inverse[start : start + _CHUNK]].tolist())
     yield "\n" + " " * depth + "]"
 
 
-def _json_pieces(payload: dict) -> Iterator[str]:
+def _json_pieces(payload: dict, **formats: str) -> Iterator[str]:
+    """The pieces of ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``,
+    where each top-level numpy array is laid out by ``_json_array`` in the
+    format ``formats`` gives its key, else ``"json"``."""
     yield "{"
     for i, (key, value) in enumerate(sorted(payload.items())):
         yield f"{',' if i else ''}\n {json.dumps(key)}: "
         if isinstance(value, np.ndarray):
-            yield from _json_array(value, 1)
+            yield from _json_array(value, 1, formats.get(key, "json"))
         else:
             yield json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
     yield "\n}\n"
-
-
-def _write_json(path: Path, payload: dict) -> str:
-    """Write ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``;
-    top-level numpy arrays are written piece by piece by ``_json_array``."""
-    return _write(path, _json_pieces(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +162,10 @@ def _write_json(path: Path, payload: dict) -> str:
 def load_config(path: str | None) -> dict:
     if path is None:
         return {"schema": 1}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        config = json.loads(p.read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory or unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -308,108 +309,92 @@ def _grid_lines(matrix: np.ndarray, grid: GridSpec) -> Iterator[str]:
     """The CSV of a grid one im row at a time: a line "re,im,value" per cell,
     im outer.  The centres are formatted once, and a row's template joins the
     re fields with the line's tail and takes the row's value texts."""
-    re, im = (texts[inverse].tolist() for texts, inverse in map(_float_texts, grid.centers()))
-    texts, inverse = _float_texts(matrix)
+    re, im = (t[i].tolist() for t, i in (_texts(c, "%.17g") for c in grid.centers()))
+    texts, inverse = _texts(matrix, "%.17g")
     yield "re,im,value\n"
     for i, row in zip(im, inverse.reshape(len(im), len(re))):
         tail = f",{i},%s\n"
         yield (tail.join(re) + tail) % tuple(texts[row].tolist())
 
 
-def _write_grid(
-    outdir: Path, stem: str, fmt: str, matrix: np.ndarray, grid: GridSpec
-) -> list[str]:
+def _grid_file(stem: str, fmt: str, matrix: np.ndarray, grid: GridSpec) -> _File:
     if fmt == "csv":
-        return [_write(outdir / f"{stem}.csv", _grid_lines(matrix, grid))]
-    payload = {"grid": asdict(grid), "values_row_major": matrix.ravel()}
-    return [_write_json(outdir / f"{stem}.json", payload)]
+        return f"{stem}.csv", _grid_lines(matrix, grid)
+    return f"{stem}.json", _json_pieces({"grid": asdict(grid), "values_row_major": matrix.ravel()})
 
 
-def _write_outcome(
-    outdir: Path, key: str, fmt: str, outcome: ProcessOutcome, grid: GridSpec | None
-) -> list[str]:
+def _outcome_files(key: str, fmt: str, outcome: ProcessOutcome,
+                   grid: GridSpec | None) -> Iterator[_File]:
     """``terms_<key>.json`` (the output mixture's terms) and, given a grid,
-    ``pfunction_<key>`` (its P function on the grid)."""
+    ``pfunction_<key>`` (its P function on the grid, evaluated when the
+    file is written)."""
     state = outcome.state
-    terms = {
+    yield f"terms_{key}.json", _json_pieces({
         "probability": outcome.probability,
         "gaussians": [
             {"c": c, "z": [z.real, z.imag], "a": a} for c, z, a in zip(state.c, state.z, state.a)
         ],
         "deltas": [{"c": c, "z": [z.real, z.imag]} for c, z in zip(state.dc, state.dz)],
         "pruned_mass": state.dropped,
-    }
-    files = [_write_json(outdir / f"terms_{key}.json", terms)]
+    })
     if grid is not None:
-        files += _write_grid(outdir, f"pfunction_{key}", fmt, evaluate_grid(state, grid), grid)
-    return files
+        yield _grid_file(f"pfunction_{key}", fmt, evaluate_grid(state, grid), grid)
 
 
-# the CSV format of each integer or fixed-point column; a column not named
-# here holds floats, printed by ``_float_texts``
+# the format of each integer or fixed-point column; a column not named here
+# holds floats, printed by ``%.17g`` in a CSV and by the JSON encoder
 _COLUMN_FORMATS = {
     "n": "%d", "k": "%d", "N": "%d", "k1": "%d", "k2": "%d", "percent": "%.2f"
 }
 
 
-def _distribution_lines(columns: dict[str, np.ndarray | list]) -> Iterator[str]:
+def _distribution_lines(columns: dict[str, np.ndarray]) -> Iterator[str]:
     """The CSV of ``columns``, ``_CHUNK`` rows per piece: each piece is one
-    formatting call of a template of whole lines, with a ``%`` slot per cell."""
-    line = ",".join(_COLUMN_FORMATS.get(n, "%s") for n in columns) + "\n"
-    # each column as (values, None), or as its distinct texts and their index
-    tables = [
-        (np.asarray(col), None) if n in _COLUMN_FORMATS else _float_texts(col)
-        for n, col in columns.items()
-    ]
+    formatting call of a template of whole lines, with a slot per cell."""
+    tables = [_texts(col, _COLUMN_FORMATS.get(n, "%.17g")) for n, col in columns.items()]
+    line = ",".join(["%s"] * len(columns)) + "\n"
     yield ",".join(columns) + "\n"
-    for start in range(0, len(next(iter(columns.values()))), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        cols = [(v[rows] if inv is None else v[inv[rows]]).tolist() for v, inv in tables]
+    for start in range(0, len(tables[0][1]), _CHUNK):
+        cols = [texts[inverse[start : start + _CHUNK]].tolist() for texts, inverse in tables]
         yield line * len(cols[0]) % tuple(cell for row in zip(*cols) for cell in row)
 
 
-def _write_distribution(
-    outdir: Path, stem: str, fmt: str, columns: dict[str, np.ndarray | list]
-) -> list[str]:
+def _distribution_file(stem: str, fmt: str, columns: dict[str, np.ndarray | list]) -> _File:
+    columns = {n: np.asarray(col, dtype=None if n in _COLUMN_FORMATS else float)
+               for n, col in columns.items()}
     if fmt == "csv":
-        return [_write(outdir / f"{stem}.csv", _distribution_lines(columns))]
-    payload = {
-        n: np.asarray(col, dtype=int if _COLUMN_FORMATS.get(n) == "%d" else float)
-        for n, col in columns.items()
-    }
-    return [_write_json(outdir / f"{stem}.json", payload)]
+        return f"{stem}.csv", _distribution_lines(columns)
+    return f"{stem}.json", _json_pieces(columns)
 
 
-def _write_summary(outdir: Path, results: dict) -> str:
+def _summary_file(results: dict) -> _File:
     """``summary.json``: each click number of ``results`` and its probability."""
-    summary = {"clicks": list(results), "probabilities": [r.probability for r in results.values()]}
-    return _write_json(outdir / "summary.json", summary)
+    return "summary.json", _json_pieces({
+        "clicks": list(results), "probabilities": [r.probability for r in results.values()]})
 
 
 # ---------------------------------------------------------------------------
-# protocol runners (each returns written file names and resolved parameters)
+# protocol runners (each returns its files and resolved parameters)
 # ---------------------------------------------------------------------------
 
 
-def _run_herald(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
+def _run_herald(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
     _, fields = _input_from(config["input"], ("phase_diffused_tmsv",), "herald")
     omega = fields["omega"]
     det = _detector_from(config["detector"])
     clicks = _clicks_list(config.get("clicks"), det.N)
     cutoff = None if config.get("cutoff") is None else _integer(config["cutoff"], "cutoff")
     results = {k: herald_tmsv_distribution(omega, det, k, cutoff) for k in clicks}
-    files = []
-    for k, res in results.items():
-        columns = {"n": np.arange(res.weights.size), "weight": res.weights,
-                   "normalized": res.normalized}
-        files += _write_distribution(outdir, f"herald_k{k}", fmt, columns)
+    columns = ({"n": np.arange(r.weights.size), "weight": r.weights, "normalized": r.normalized}
+               for r in results.values())
+    files = [_distribution_file(f"herald_k{k}", fmt, c) for k, c in zip(results, columns)]
     resolved = {"omega": omega, "detector": asdict(det), "clicks": clicks}
-    return files + [_write_summary(outdir, results)], resolved
+    return [*files, _summary_file(results)], resolved
 
 
 def _conditioning_protocol(
-    protocol: str, config: dict, outdir: Path, fmt: str, grid: GridSpec | None
-) -> tuple[list[str], dict]:
+    protocol: str, config: dict, fmt: str, grid: GridSpec | None
+) -> tuple[Iterable[_File], dict]:
     kinds = ("vacuum", "coherent", "thermal", "displaced_thermal")
     fields = _input_from(config["input"], kinds, protocol)[1]
     # every kind is a displaced thermal state, with 0 for a field it lacks
@@ -426,15 +411,14 @@ def _conditioning_protocol(
         resolved_optics = {"xi": sq.xi, "mu": sq.mu, "nu": sq.nu}
     clicks = _clicks_list(config.get("clicks"), det.N)
     results = {k: run(p_in, replace(spec, k=k)) for k in clicks}
-    files = []
-    for k, outcome in results.items():
-        files += _write_outcome(outdir, f"k{k}", fmt, outcome, grid)
+    files = (file for k, outcome in results.items()
+             for file in _outcome_files(f"k{k}", fmt, outcome, grid))
     resolved = {"detector": asdict(det), "optics": resolved_optics, "clicks": clicks,
                 "eta_eff": spec.eta_eff}
-    return files + [_write_summary(outdir, results)], resolved
+    return chain(files, [_summary_file(results)]), resolved
 
 
-def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
+def _run_amplify(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
     beta = _input_from(config["input"], ("coherent",), "amplify")[1]["alpha"]
     add_node = _node(config["addition"], "an amplify addition stage", ("detector", "optics"))
     sub_node = _node(config["subtraction"], "an amplify subtraction stage", ("detector", "optics"))
@@ -453,28 +437,31 @@ def _run_amplify(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str],
     if fmt == "csv":
         k1, k2 = np.indices(table.shape).reshape(2, -1)
         columns = {"k1": k1, "k2": k2, "probability": table.ravel(), "percent": percent.ravel()}
-        files = _write_distribution(outdir, "probability_table", fmt, columns)
+        table_file = _distribution_file("probability_table", fmt, columns)
     else:
-        texts = [_COLUMN_FORMATS["percent"] % p for p in percent.ravel().tolist()]
-        payload = {"N1": det1.N, "N2": det2.N, "probabilities": table,
-                   "percent": np.reshape(texts, table.shape)}
-        files = [_write_json(outdir / "probability_table.json", payload)]
+        # each percent cell is the JSON string of its CSV text
+        payload = {"N1": det1.N, "N2": det2.N, "probabilities": table, "percent": percent}
+        table_file = "probability_table.json", _json_pieces(
+            payload, percent='"%s"' % _COLUMN_FORMATS["percent"])
 
-    if grid is not None:
-        for k1 in k1_list:
+    def files() -> Iterator[_File]:
+        # each (k1, k2) outcome is computed when its files are written
+        yield table_file
+        for k1 in k1_list if grid is not None else ():
             added = add(PhaseSpaceMixture.coherent(beta), replace(spec.add, k=k1))
             for k2 in k2_list:
                 outcome = subtract(added.state, replace(spec.sub, k=k2))
-                files += _write_outcome(outdir, f"k{k1}_{k2}", fmt, outcome, grid)
+                yield from _outcome_files(f"k{k1}_{k2}", fmt, outcome, grid)
+
     resolved = {
         "beta": [beta.real, beta.imag],
         "addition": {"detector": asdict(det1), "mu": sq.mu},
         "subtraction": {"detector": asdict(det2), "t": bs.t},
     }
-    return files, resolved
+    return files(), resolved
 
 
-def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
+def _run_clickstats(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
     inp = config["input"]
     # a photon distribution, or a one-mode state of ``make_state`` with its cutoff
     kinds = tuple(k for k in _INPUT_FIELDS if k != "phase_diffused_tmsv")
@@ -488,11 +475,11 @@ def _run_clickstats(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     det = _detector_from(config["detector"])
     dist = click_statistics(probs, det)
     columns = {"k": np.arange(det.N + 1), "probability": dist.probs}
-    files = _write_distribution(outdir, "click_distribution", fmt, columns)
+    files = [_distribution_file("click_distribution", fmt, columns)]
     return files, {"detector": asdict(det), "input_kind": kind}
 
 
-def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[str], dict]:
+def _run_errorbound(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
     eta = _real(config["eta"], "eta")
     k = _integer(config["k"], "k")
     n_node = config["N"]
@@ -503,7 +490,7 @@ def _run_errorbound(config: dict, outdir: Path, fmt: str, grid) -> tuple[list[st
     res = [operator_norm_distance(DetectorConfig(n, eta), k, cutoff) for n in n_values]
     columns = {"N": n_values, "distance": [r.value for r in res],
                "grid_sup": [r.grid_sup for r in res], "tail_bound": [r.tail_bound for r in res]}
-    files = _write_distribution(outdir, "errorbound", fmt, columns)
+    files = [_distribution_file("errorbound", fmt, columns)]
     return files, {"eta": eta, "k": k, "N": n_values, "cutoff": cutoff}
 
 
@@ -575,13 +562,23 @@ def main(argv: list[str] | None = None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create the output directory: {exc}") from exc
-        files, resolved = run(config, outdir, fmt, grid)
-        if args.manifest:
-            manifest = {"version": __version__, "protocol": args.protocol, "format": fmt,
-                        "resolved": resolved, "outputs": sorted(files)}
-            if grid is not None:
-                manifest["grid"] = asdict(grid)
-            _write_json(outdir / "manifest.json", manifest)
+        files, resolved = run(config, fmt, grid)
+        written = []
+        try:
+            for name, pieces in files:
+                _write(outdir / name, pieces)
+                written.append(name)
+            if args.manifest:
+                manifest = {"version": __version__, "protocol": args.protocol, "format": fmt,
+                            "resolved": resolved, "outputs": sorted(written)}
+                if grid is not None:
+                    manifest["grid"] = asdict(grid)
+                _write(outdir / "manifest.json", _json_pieces(manifest))
+        except BaseException:
+            # a run that fails leaves no file of its own
+            for name in written:
+                (outdir / name).unlink(missing_ok=True)
+            raise
     except ConfigError as exc:
         print(f"clickcraft: config error: {exc}", file=sys.stderr)
         return 1
@@ -592,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"clickcraft: invalid parameters: {exc}", file=sys.stderr)
         return 2
 
-    for name in files:
+    for name in written:
         print(outdir / name)
     return 0
 

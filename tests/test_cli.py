@@ -1,8 +1,10 @@
 """CLI behavior: protocols end to end, exit codes, determinism, formats."""
 
 import argparse
+import errno
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from clickcraft import (
     SubtractionSpec,
     subtract,
 )
-from clickcraft.cli import _PROTOCOLS, _write_distribution, _write_grid, build_parser, main
+from clickcraft.cli import _PROTOCOLS, _distribution_file, _grid_file, _write, build_parser, main
 from clickcraft.pfunc import GridSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -29,8 +31,10 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def test_missing_config_is_parse_error(tmp_path, capsys):
-    assert main(["subtract", "--config", str(tmp_path / "nope.json")]) == 1
-    assert "config error" in capsys.readouterr().err
+    # a directory used to escape as an IsADirectoryError
+    for path in (tmp_path / "nope.json", tmp_path):
+        assert main(["subtract", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_malformed_json_is_parse_error(tmp_path, capsys):
@@ -111,6 +115,19 @@ def test_unwritable_output_file_is_validation_error(tmp_path, capsys, argv, bloc
     err = capsys.readouterr().err
     assert f"invalid parameters: cannot write {tmp_path / blocked}: " in err
     assert "Traceback" not in err
+    # the files written before the blocked one are removed, and it is kept
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+
+def test_write_that_fails_partway_leaves_no_file(tmp_path):
+    def pieces():
+        yield "re,im,value\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: No space left"):
+        _write(path, pieces())
+    assert not path.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -1016,6 +1033,19 @@ def repeated_values(n, seed):
     return rng.permutation(np.concatenate([pool, rng.choice(pool, n - len(pool))]))
 
 
+# percent cells that round at the second decimal, and -0.0
+PERCENT_VALUES = [-1e-7, -0.0, 0.005, 0.015, 99.995, 100.0]
+
+
+def amplifier_percent(length, seed):
+    """``100 * special_values``, with ``PERCENT_VALUES`` in its first rows and
+    on both sides of row 2048, where a CSV piece of 2048 rows ends."""
+    percent = 100 * special_values(length, seed)
+    for rows in (slice(0, 6), slice(2042, 2054)):
+        percent[rows] = np.resize(PERCENT_VALUES, len(percent[rows]))
+    return percent
+
+
 def reference_json(payload):
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -1041,11 +1071,12 @@ def reference_grid(fmt, matrix, grid):
 
 
 def reference_distribution(fmt, columns):
-    ints = ("n", "k", "N")
+    ints = ("n", "k", "N", "k1", "k2")
     if fmt == "csv":
         length = len(next(iter(columns.values())))
         rows = [list(columns)] + [
-            [str(int(c[i])) if n in ints else f"{c[i]:.17g}" for n, c in columns.items()]
+            [str(int(c[i])) if n in ints else f"{c[i]:.2f}" if n == "percent" else f"{c[i]:.17g}"
+             for n, c in columns.items()]
             for i in range(length)
         ]
         return reference_csv(rows)
@@ -1070,7 +1101,8 @@ def reference_distribution(fmt, columns):
 def test_grid_writer_matches_per_cell_formatting(tmp_path, fmt, n_re, n_im, values):
     grid = GridSpec(-1e-300, 2.5, -3.0, 1 / 3, n_re, n_im)
     matrix = values(n_re * n_im, n_re + 10 * n_im).reshape(n_im, n_re)
-    (name,) = _write_grid(tmp_path, "grid", fmt, matrix, grid)
+    name, pieces = _grid_file("grid", fmt, matrix, grid)
+    _write(tmp_path / name, pieces)
     assert (tmp_path / name).read_bytes() == reference_grid(fmt, matrix, grid).encode()
 
 
@@ -1088,9 +1120,12 @@ def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length, 
         {"k": np.arange(length), "probability": values(length, 3)},
         {"N": 2 ** np.arange(length), "distance": values(length, 4),
          "grid_sup": values(length, 5), "tail_bound": values(length, 6)},
+        {"k1": np.arange(length) // 7, "k2": np.arange(length) % 7,
+         "probability": values(length, 7), "percent": amplifier_percent(length, 8)},
     ]
     for stem, columns in enumerate(tables):
-        (name,) = _write_distribution(tmp_path, f"d{stem}", fmt, columns)
+        name, pieces = _distribution_file(f"d{stem}", fmt, columns)
+        _write(tmp_path / name, pieces)
         assert (tmp_path / name).read_bytes() == reference_distribution(fmt, columns).encode()
 
 
@@ -1105,7 +1140,8 @@ def test_grid_writer_memory_grows_with_distinct_values_not_the_file(tmp_path, fm
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        _write_grid(tmp_path, "grid", fmt, matrix, grid)
+        name, pieces = _grid_file("grid", fmt, matrix, grid)
+        _write(tmp_path / name, pieces)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
