@@ -22,13 +22,13 @@ as CSV or JSON (256 and 137 when each file was built whole), and
 ``clickcraft subtract`` with fig3's optics at k = 3 on a 1001 x 1001 grid
 peaks near 90 MB RSS in both formats (268 MB as CSV and 151 MB as JSON).
 
-Exit codes: 0 success, 1 config parse error, 2 parameter validation error
-(or an output directory that cannot be created, or an output file that
-cannot be written), 3 numerical failure (a result failed a numerical sanity
-check, or a cutoff could not hold the requested tail tolerance:
-``NumericalError``, of which ``CutoffError`` is one kind).  A run that exits
-2 or 3 removes every file it wrote, and an overwritten file's old content is
-not restored.
+Exit codes: 0 success, 1 config parse error, 2 invalid parameters (e.g. an
+amplify addition stage at eta = 1 on a coherent input, or an output directory
+or file that cannot be made), 3 numerical failure (``NumericalError``, of which
+``CutoffError`` is one kind: a result failed a sanity check, a coefficient left
+the float range, or a cutoff cannot hold its tail tolerance).  A run that its
+runner refuses creates no ``--out``.  A run that fails while it writes removes
+every file it wrote, an overwritten one too, and may leave its new ``--out``.
 """
 
 from __future__ import annotations
@@ -557,12 +557,12 @@ def main(argv: list[str] | None = None) -> int:
         grid = None
         if args.grid is not None or "grid" in config:
             grid = _grid_from(config["grid"]) if args.grid is None else _grid_from_flag(args.grid)
+        files, resolved = run(config, fmt, grid)
         outdir = Path(args.out)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create the output directory: {exc}") from exc
-        files, resolved = run(config, fmt, grid)
         written = []
         try:
             for name, pieces in files:

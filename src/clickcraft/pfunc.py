@@ -75,8 +75,8 @@ class PhaseSpaceMixture(NamedTuple):
 
     @classmethod
     def from_fields(cls, c, z, a, dc=(), dz=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
-        """Mixture of these fields (equal lengths per term kind); ValueError
-        unless every inverse width is finite and > 0 and every coefficient finite."""
+        """Mixture of these fields (equal lengths per term kind); ValueError unless every
+        inverse width is finite and > 0, NumericalError unless every coefficient is finite."""
         mixture = cls(tuple(c), tuple(z), tuple(a), tuple(dc), tuple(dz), dropped)
         if not (len(mixture.c) == len(mixture.z) == len(mixture.a)
                 and len(mixture.dc) == len(mixture.dz)):
@@ -85,7 +85,7 @@ class PhaseSpaceMixture(NamedTuple):
             if not 0 < width < math.inf:
                 raise ValueError(f"inverse width must be positive and finite, got a={width}")
         if not (all(map(math.isfinite, mixture.c)) and all(map(math.isfinite, mixture.dc))):
-            raise ValueError("coefficient must be finite")
+            raise NumericalError("coefficient must be finite")
         return mixture
 
     @classmethod

@@ -165,18 +165,11 @@ class AdditionSpec:
 
 @dataclass(frozen=True)
 class AmplifySpec:
-    """Addition stage (k1 clicks on detector 1) followed by a subtraction
-    stage (k2 clicks on detector 2)."""
+    """Addition stage (k1 clicks on detector 1), then a subtraction stage (k2
+    clicks on detector 2); at eta1 = 1 ``add`` refuses an input with deltas."""
 
     add: AdditionSpec
     sub: SubtractionSpec
-
-    def __post_init__(self) -> None:
-        if self.add.det.eta >= 1.0:
-            raise ValueError(
-                "eta1 = 1 produces delta-shaped contributions (zero-width terms "
-                "in the output P function); the first detector must have eta1 < 1"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
     p, e = _two_prod(xh, yh)
     e += xh * yl + xl * yh
-    s, t = _two_sum(p, e)
-    return s, t
+    return _two_sum(p, e)
 
 
 def _dd_pow(xh: float, xl: float, n: int) -> tuple[float, float]:
@@ -158,7 +157,7 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
 
     Each (j1, j2) term of the double binomial expansion is the Gaussian
     (f / pi) exp(-l2 |alpha|^2 + 2 l1 Re(alpha conj(beta)) - l0 |beta|^2)
-    completed to center (l1 / l2) beta.
+    completed to center (l1 / l2) beta.  eta1 = 1 is a ValueError, as in ``add``.
 
     The signed terms cancel, so floats hold it only for small N.  With the
     table1 optics (mu = 1.5, t = 2/3, eta = 0.5, beta = sqrt(2)) and
@@ -173,7 +172,8 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
     n1, eta1, k1 = spec.add.det.N, spec.add.det.eta, spec.add.k
     n2, eta2, k2 = spec.sub.det.N, spec.sub.det.eta, spec.sub.k
     b2 = abs(beta) ** 2
-
+    if eta1 == 1.0:  # den = 0 at j1 = 0
+        raise ValueError("eta = 1 turns the delta term of a coherent input into zero-width terms")
     cs, zs, widths = [], [], []
     try:
         for j1 in range(k1 + 1):

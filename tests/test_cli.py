@@ -207,7 +207,19 @@ def test_numerical_failure_writes_no_file(tmp_path, capsys, protocol, optics):
     out = tmp_path / "out"
     assert main([protocol, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k,message", [(237, "probability"), (238, "coefficient must be finite")])
+def test_click_factor_overflow_is_numerical_failure(tmp_path, capsys, k, message):
+    # finite, checked parameters whose products leave the float range: a
+    # probability at k = 237 and a coefficient at k = 238, both exit 3
+    payload = {"schema": 1, "protocol": "subtract", "input": {"kind": "thermal", "nbar": 0.02},
+               "detector": {"N": 1000, "eta": 0.5}, "optics": {"t": 0.99}, "clicks": [k]}
+    out = tmp_path / "out"
+    assert main(["subtract", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_herald_pair_weight_of_one_is_validation_error(tmp_path, capsys):
@@ -216,7 +228,7 @@ def test_herald_pair_weight_of_one_is_validation_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["herald", "--config", cfg, "--out", str(out)]) == 2
     assert "invalid parameters: pair weight must satisfy 0 < omega < 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_clickstats_vacuum(tmp_path):
@@ -528,6 +540,27 @@ SMALL_GRID = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "n_re": 3, "
 def _amplify_pair_config(pair):
     payload = json.loads((CONFIGS / "table1.json").read_text())
     return {**payload, "clicks": pair, "grid": SMALL_GRID}
+
+
+# (protocol and flags, config payload, the config error it reports)
+MALFORMED_CONFIGS = {
+    "not_an_object": (["herald"], [1, 2], "config must be a JSON object"),
+    "detector_without_eta": (["herald"], {**HERALD_CONFIG, "detector": {"N": 4}},
+                             "a detector is missing the 'eta' field"),
+    "grid_flag_of_three": (["add", "--grid", "1,2,3"], ADD_CONFIG,
+                           "--grid expects re0,re1,im0,im1,nre,nim"),
+    "errorbound_n_not_a_list": (["errorbound"], {**ERRORBOUND_CONFIG, "N": 4},
+                                "N must be a list of diode counts, got 4"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_is_parse_error(tmp_path, capsys, case):
+    argv, payload, message = MALFORMED_CONFIGS[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # each config ran on the truncated value (4.7 -> 4, true -> 1) or raised a
@@ -887,7 +920,17 @@ def test_addition_at_unit_efficiency_on_coherent_input_writes_nothing(tmp_path, 
     out = tmp_path / "out"
     assert main(["add", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert "eta < 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_amplify_addition_at_unit_efficiency_on_coherent_input_writes_nothing(tmp_path, capsys):
+    # the addition stage's rule decides it, as for add: a coherent input has delta terms
+    payload = _amplify_pair_config([1])
+    payload["addition"] = {**payload["addition"], "detector": {"N": 4, "eta": 1.0}}
+    out = tmp_path / "out"
+    assert main(["amplify", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "invalid parameters: eta = 1 turns the delta terms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_photon_number_is_validation_error(tmp_path, capsys):
@@ -896,7 +939,7 @@ def test_negative_photon_number_is_validation_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["clickstats", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
     assert "invalid parameters" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("protocol", ["add", "amplify"])

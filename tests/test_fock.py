@@ -93,6 +93,18 @@ def test_thermal_cutoff_error_names_the_state_and_its_tail():
     assert str(info.value) == "thermal nbar=5 has tail 0.162 at cutoff 10"
 
 
+def test_unknown_state_kind_is_value_error():
+    with pytest.raises(ValueError, match="unknown state kind 'squeezed'") as info:
+        make_state("squeezed", 8)
+    assert not isinstance(info.value, NumericalError)
+
+
+def test_displaced_thermal_cutoff_error_names_the_kept_weight():
+    # the work basis holds the state; the cutoff keeps a third of its trace
+    with pytest.raises(CutoffError, match=r"nbar=0\.1\) keeps only 0\.3338\d* below cutoff 8"):
+        make_state("displaced_thermal", 8, alpha=3, nbar=0.1)
+
+
 @pytest.mark.parametrize("tol", [None, 1.0], ids=["default", "guard_off"])
 def test_displaced_thermal_work_basis_error_names_the_state(tol):
     # named "thermal nbar=5 has tail 7.63e-05 at cutoff 52", the work basis

@@ -190,6 +190,13 @@ def test_click_factor_validation():
         multiply_click_factor(huge, 0.5, 8, 4)
 
 
+def test_click_factor_coefficient_overflow_is_numerical_error():
+    # finite, checked parameters whose expansion leaves the float range, so
+    # not invalid parameters
+    with pytest.raises(NumericalError, match="coefficient must be finite"):
+        multiply_click_factor(PhaseSpaceMixture.thermal(0.01), 0.5, 1000, 238)
+
+
 # --- husimi smoothing pair --------------------------------------------------
 
 

@@ -107,6 +107,17 @@ def test_click_statistics_rejects_non_finite(bad):
         click_statistics(np.array([0.5, bad]), DetectorConfig(2, 0.5))
 
 
+@pytest.mark.parametrize("bad", [[], [[0.1, 0.2], [0.3, 0.4]]], ids=["empty", "matrix"])
+def test_click_statistics_needs_a_non_empty_vector(bad):
+    with pytest.raises(ValueError, match="non-empty vector"):
+        click_statistics(bad, DetectorConfig(2, 0.5))
+
+
+def test_click_statistics_rejects_a_sum_above_one():
+    with pytest.raises(ValueError, match="sums to 1.2 > 1"):
+        click_statistics([0.6, 0.6], DetectorConfig(2, 0.5))
+
+
 def _exact_click_statistics(p, det, ks):
     """Exact sums of p_m D[k, m] over m >= k (D[k, m] = 0 below), from
     ``d_exact`` at the float parameters the library uses."""
@@ -261,6 +272,20 @@ def test_photoelectric_weights_beyond_float_binomials():
         assert weights[m] == pytest.approx(_exact_binomial_weight(m, k, eta), rel=1e-11, abs=1e-300)
     # where the binomial fits, the weight is the plain float product
     assert weights[1000] == math.comb(1000, k) * eta**k * (1.0 - eta) ** (1000 - k)
+
+
+def test_photoelectric_weights_of_a_blind_detector_beyond_float_binomials():
+    # eta = 0 with C(m, 400) past the float range: 0**400, not log(0)
+    weights = photoelectric_element(0.0, 400, 2048)
+    assert np.all(np.isfinite(weights)) and not np.any(weights)
+
+
+def test_distance_tail_at_unit_efficiency():
+    # the photoelectric tail is the k-photon projector's: 1 while the cutoff
+    # is at or below k, then 0, leaving the click tail C(4, 2) 2**2 (1/2)**16
+    det = DetectorConfig(4, 1.0)
+    assert operator_norm_distance(det, 2, 2).tail_bound == 1.0
+    assert operator_norm_distance(det, 2, 16).tail_bound == 3.662109375e-4
 
 
 def test_detector_validation():

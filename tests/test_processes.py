@@ -337,10 +337,39 @@ def test_amplify_accepts_mixture_input():
 
 
 def test_amplify_rejects_unit_efficiency_first_detector():
+    # the addition stage decides eta1 = 1: a coherent input's delta terms are refused
+    spec = AmplifySpec(AdditionSpec(SQ15, DetectorConfig(4, 1.0), 0), SubtractionSpec(BS23, DET4, 0))
     with pytest.raises(ValueError, match="delta"):
-        AmplifySpec(
-            AdditionSpec(SQ15, DetectorConfig(4, 1.0), 0), SubtractionSpec(BS23, DET4, 0)
-        )
+        amplify(PhaseSpaceMixture.coherent(0.5), spec)
+    with pytest.raises(ValueError, match="delta"):
+        probability_table(spec, 0.5)
+    # the closed form's first denominator is zero there
+    with pytest.raises(ValueError, match="delta") as info:
+        amplify_closed_form(0.5, spec)
+    assert not isinstance(info.value, NumericalError)
+
+
+def test_amplify_thermal_input_at_unit_efficiency_first_detector_matches_fock():
+    # a thermal input has no delta term, so eta1 = 1 is a valid amplifier
+    det1 = DetectorConfig(4, 1.0)
+    p_in = PhaseSpaceMixture.thermal(0.5)
+    table = np.array([
+        [amplify(p_in, AmplifySpec(AdditionSpec(SQ15, det1, k1), SubtractionSpec(BS23, DET4, k2)))
+         .probability for k2 in range(5)]
+        for k1 in range(5)
+    ])
+    assert math.fsum(table.ravel()) == pytest.approx(1.0, abs=1e-12)
+    d = 64
+    vac = make_state("vacuum", d)
+    joint = apply_two_mode_squeezer(
+        tensor_product(make_state("thermal", d, nbar=0.5), vac), SQ15, tail_tol=1e-6
+    )
+    for k1 in range(5):
+        after_add = condition_on_clicks(joint, det1, k1).state
+        joint2 = apply_beam_splitter(tensor_product(after_add, vac), BS23)
+        for k2 in range(5):
+            oracle = condition_on_clicks(joint2, DET4, k2).probability
+            assert table[k1, k2] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_probability_table_sums_to_one():
