@@ -25,10 +25,11 @@ peaks near 90 MB RSS in both formats (268 MB as CSV and 151 MB as JSON).
 Exit codes: 0 success, 1 config parse error, 2 invalid parameters (e.g. an
 amplify addition stage at eta = 1 on a coherent input, or an output directory
 or file that cannot be made), 3 numerical failure (``NumericalError``, of which
-``CutoffError`` is one kind: a result failed a sanity check, a coefficient left
-the float range, or a cutoff cannot hold its tail tolerance).  A run that its
-runner refuses creates no ``--out``.  A run that fails while it writes removes
-every file it wrote, an overwritten one too, and may leave its new ``--out``.
+``CutoffError`` is one kind: a result failed a sanity check, a coefficient or a
+value derived from the optics or the input left the float range, or a cutoff
+cannot hold its tail tolerance).  A run that its runner refuses creates no
+``--out``.  A run that fails while it writes removes every file it wrote, an
+overwritten one too, and may leave its new ``--out``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .processes import (
     SqueezerConfig,
     SubtractionSpec,
     add,
+    amplify,
     herald_tmsv_distribution,
     probability_table,
     subtract,
@@ -444,21 +446,15 @@ def _run_amplify(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
         table_file = "probability_table.json", _json_pieces(
             payload, percent='"%s"' % _COLUMN_FORMATS["percent"])
 
-    def files() -> Iterator[_File]:
-        # each (k1, k2) outcome is computed when its files are written
-        yield table_file
-        for k1 in k1_list if grid is not None else ():
-            added = add(PhaseSpaceMixture.coherent(beta), replace(spec.add, k=k1))
-            for k2 in k2_list:
-                outcome = subtract(added.state, replace(spec.sub, k=k2))
-                yield from _outcome_files(f"k{k1}_{k2}", fmt, outcome, grid)
-
-    resolved = {
-        "beta": [beta.real, beta.imag],
-        "addition": {"detector": asdict(det1), "mu": sq.mu},
-        "subtraction": {"detector": asdict(det2), "t": bs.t},
-    }
-    return files(), resolved
+    # each (k1, k2) outcome is computed when its files are written, one at a time
+    outcomes = ((f"k{k1}_{k2}", amplify(beta, AmplifySpec(replace(spec.add, k=k1),
+                                                          replace(spec.sub, k=k2))))
+                for k1 in (k1_list if grid is not None else ()) for k2 in k2_list)
+    files = (file for key, outcome in outcomes for file in _outcome_files(key, fmt, outcome, grid))
+    resolved = {"beta": [beta.real, beta.imag],
+                "addition": {"detector": asdict(det1), "mu": sq.mu},
+                "subtraction": {"detector": asdict(det2), "t": bs.t}}
+    return chain([table_file], files), resolved
 
 
 def _run_clickstats(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:

@@ -167,7 +167,11 @@ def make_state(
         check_displaced_thermal(alpha, nbar)
     if kind == "coherent":
         amps = np.zeros(d, dtype=complex)
-        amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        try:
+            amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        except OverflowError:  # |alpha|^2 past the float range: no weight below any cutoff
+            raise CutoffError(f"coherent |alpha|={abs(alpha):.4g} keeps none of its weight "
+                              f"below cutoff {d}") from None
         for m in range(1, d):
             amps[m] = amps[m - 1] * alpha / math.sqrt(m)
         norm = float(np.vdot(amps, amps).real)

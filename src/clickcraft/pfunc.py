@@ -106,7 +106,10 @@ class PhaseSpaceMixture(NamedTuple):
         check_displaced_thermal(alpha0, nbar)
         if nbar == 0:
             return cls(dc=(1.0,), dz=(alpha0,))
-        return cls.from_fields((1.0 / (math.pi * nbar),), (alpha0,), (1.0 / nbar,))
+        c, a = 1.0 / (math.pi * nbar), 1.0 / nbar
+        if c == 0.0 or a == math.inf:  # nbar above 1.797e308/pi, or subnormal
+            raise NumericalError(f"the P function of nbar={nbar} leaves the float range")
+        return cls.from_fields((c,), (alpha0,), (a,))
 
     @property
     def gaussians(self) -> tuple[tuple[float, complex, float], ...]:

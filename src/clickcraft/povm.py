@@ -49,7 +49,8 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class ClickDistribution:
-    """Probabilities of k = 0..N clicks; entries in [0, 1], summing to one."""
+    """Probabilities of k = 0..N clicks, entries in [0, 1]; they sum to the
+    input photon distribution's total, one for a complete distribution."""
 
     probs: np.ndarray
 

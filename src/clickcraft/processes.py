@@ -87,13 +87,18 @@ class BeamSplitterConfig:
 
 @dataclass(frozen=True)
 class SqueezerConfig:
-    """Two-mode squeezer of strength xi >= 0; mu = cosh(xi), nu = sinh(xi)."""
+    """Two-mode squeezer of strength xi >= 0; mu = cosh(xi), nu = sinh(xi);
+    NumericalError where mu^2 leaves the float range (xi above about 355.6)."""
 
     xi: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.xi < math.inf:
             raise ValueError(f"squeezing strength must be finite and >= 0, got xi={self.xi}")
+        try:  # mu^2 bounds every value derived from xi: mu, nu, nu^2 and the noise variance
+            math.cosh(self.xi) ** 2
+        except OverflowError as exc:
+            raise NumericalError(f"mu^2 leaves the float range at xi={self.xi}") from exc
 
     @classmethod
     def from_mu(cls, mu: float) -> "SqueezerConfig":
@@ -129,7 +134,8 @@ class ProcessOutcome:
 
 @dataclass(frozen=True)
 class SubtractionSpec:
-    """k-click photon subtraction: beam splitter tap plus detector system."""
+    """k-click photon subtraction: beam splitter tap plus detector system;
+    NumericalError where t^2 or eta_eff leaves the float range."""
 
     bs: BeamSplitterConfig
     det: DetectorConfig
@@ -137,6 +143,9 @@ class SubtractionSpec:
 
     def __post_init__(self) -> None:
         check_clicks(self.k, self.det.N)
+        # t^2 scales the loss map and divides eta_eff
+        if self.bs.t**2 == 0.0 or self.eta_eff == math.inf:
+            raise NumericalError(f"eta r^2/t^2 leaves the float range at t={self.bs.t}")
 
     @property
     def eta_eff(self) -> float:
@@ -265,9 +274,8 @@ def amplify(
 
 
 def probability_table(spec: AmplifySpec, beta: complex) -> np.ndarray:
-    """Joint probabilities of every (k1, k2) click pair for a coherent input.
-
-    Entry [k1, k2] is the trace of the (k1, k2)-conditioned output; the whole
+    """``amplify``'s probability of every (k1, k2) click pair for a coherent
+    input, bit for bit; the ``k`` fields of ``spec`` are ignored.  The whole
     (N1+1) x (N2+1) table sums to one.  A row runs the addition and the loss
     once, and each cell is what ``subtract`` makes of them.
     """

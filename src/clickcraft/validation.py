@@ -171,11 +171,11 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
     t, r = spec.sub.bs.t, spec.sub.bs.r
     n1, eta1, k1 = spec.add.det.N, spec.add.det.eta, spec.add.k
     n2, eta2, k2 = spec.sub.det.N, spec.sub.det.eta, spec.sub.k
-    b2 = abs(beta) ** 2
     if eta1 == 1.0:  # den = 0 at j1 = 0
         raise ValueError("eta = 1 turns the delta term of a coherent input into zero-width terms")
     cs, zs, widths = [], [], []
     try:
+        b2 = abs(beta) ** 2
         for j1 in range(k1 + 1):
             den = nu**2 * (1.0 - eta1 * (1.0 - j1 / n1))
             lam1 = mu / (t * den)
@@ -195,7 +195,7 @@ def amplify_closed_form(beta: complex, spec: AmplifySpec) -> PhaseSpaceMixture:
                 cs.append((f / math.pi) * math.exp((lam1**2 / lam2 - lam0) * b2))
                 zs.append((lam1 / lam2) * beta)
                 widths.append(lam2)
-    except OverflowError as exc:  # a binomial coefficient, or an exponential, past the float range
+    except OverflowError as exc:  # |beta|^2, a binomial coefficient or an exponential
         raise NumericalError(f"the ({k1}, {k2})-click closed form leaves the float range") from exc
     return PhaseSpaceMixture.from_fields(cs, zs, widths)
 
@@ -210,8 +210,8 @@ def _gamma_sum(alpha0: complex, nbar: float, scale: float, n_diodes: int, k: int
     gamma_j = 1 + lam_j nbar and exponent lam_j |alpha0|^2 / gamma_j."""
     lam = scale * (1.0 - np.arange(k + 1) / n_diodes)
     gammas = 1.0 + lam * nbar
-    exponents = lam * abs(alpha0) ** 2 / gammas
     try:
+        exponents = lam * abs(alpha0) ** 2 / gammas
         return math.fsum([
             math.comb(n_diodes, k)
             * math.comb(k, j)
@@ -220,7 +220,7 @@ def _gamma_sum(alpha0: complex, nbar: float, scale: float, n_diodes: int, k: int
             / gammas[j]
             for j in range(k + 1)
         ])
-    except OverflowError as exc:  # a binomial coefficient past the float range
+    except OverflowError as exc:  # |alpha0|^2 or a binomial coefficient past the float range
         raise NumericalError(f"the {k}-click closed form of N={n_diodes} leaves the float range") from exc
 
 

@@ -16,6 +16,7 @@ from clickcraft import (
     DetectorConfig,
     PhaseSpaceMixture,
     SubtractionSpec,
+    amplify,
     subtract,
 )
 from clickcraft.cli import _PROTOCOLS, _distribution_file, _grid_file, _write, build_parser, main
@@ -219,6 +220,49 @@ def test_click_factor_overflow_is_numerical_failure(tmp_path, capsys, k, message
     out = tmp_path / "out"
     assert main(["subtract", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
     assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _past_float_range(protocol, optics, inp=None):
+    """A config of N = 4 and eta = 0.5 whose ``optics`` or ``inp`` (coherent
+    alpha = 1 if not given) has a derived value past the float range."""
+    det = {"N": 4, "eta": 0.5}
+    inp = inp or {"kind": "coherent", "alpha": 1}
+    if protocol == "amplify":
+        stage = "addition" if "xi" in optics else "subtraction"
+        payload = json.loads((CONFIGS / "table1.json").read_text())
+        return {**payload, stage: {"detector": det, "optics": optics}}
+    return {"schema": 1, "protocol": protocol, "input": inp, "detector": det, "optics": optics,
+            "clicks": 1}
+
+
+# finite, checked parameters whose derived values leave the float range: each
+# used to end in a traceback, exit 2 on a zero or infinite inverse width, or
+# exit 0 with every probability 0.0
+PAST_FLOAT_RANGE = {
+    "add_xi_800": _past_float_range("add", {"xi": 800}),
+    "add_xi_400": _past_float_range("add", {"xi": 400}),
+    "add_mu_1e160": _past_float_range("add", {"mu": 1e160}),
+    "subtract_t_1e-155": _past_float_range("subtract", {"t": 1e-155}),
+    "subtract_t_1e-170": _past_float_range("subtract", {"t": 1e-170}),
+    "subtract_thermal_t_1e-170": _past_float_range("subtract", {"t": 1e-170},
+                                                   {"kind": "thermal", "nbar": 1}),
+    "amplify_xi_800": _past_float_range("amplify", {"xi": 800}),
+    "amplify_t_1e-170": _past_float_range("amplify", {"t": 1e-170}),
+    "subtract_nbar_1e308": _past_float_range("subtract", {"t": 0.5},
+                                             {"kind": "thermal", "nbar": 1e308}),
+    "clickstats_alpha_1e155": {"schema": 1, "protocol": "clickstats",
+                               "input": {"kind": "coherent", "alpha": 1e155, "cutoff": 8},
+                               "detector": {"N": 4, "eta": 0.5}},
+}
+
+
+@pytest.mark.parametrize("payload", PAST_FLOAT_RANGE.values(), ids=PAST_FLOAT_RANGE.keys())
+def test_derived_value_past_float_range_is_numerical_failure(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    argv = [payload["protocol"], "--config", write_config(tmp_path, payload), "--out", str(out)]
+    assert main(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -662,6 +706,26 @@ def test_out_of_range_click_writes_nothing(tmp_path, capsys, case):
     assert main(argv) == 2
     assert "outside 0..4" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_amplify_outcomes_come_from_amplify_as_their_files_are_written(monkeypatch):
+    # the runner used to compose add and subtract itself; each (k1, k2)
+    # outcome comes from processes.amplify, once its files are reached
+    calls = []
+
+    def recording(beta, spec):
+        calls.append((spec.add.k, spec.sub.k))
+        return amplify(beta, spec)
+
+    monkeypatch.setattr("clickcraft.cli.amplify", recording)
+    config = _amplify_pair_config({"k1": [1, 2], "k2": [0, 3]})
+    files = iter(_PROTOCOLS["amplify"][0](config, "csv", GridSpec(**SMALL_GRID))[0])
+    assert next(files)[0] == "probability_table.csv" and calls == []
+    assert [(name, len(calls)) for name, _ in files] == [
+        (f"{stem}_k{k1}_{k2}.{ext}", 2 * i1 + i2 + 1)
+        for i1, k1 in enumerate((1, 2)) for i2, k2 in enumerate((0, 3))
+        for stem, ext in (("terms", "json"), ("pfunction", "csv"))]
+    assert calls == [(1, 0), (1, 3), (2, 0), (2, 3)]
 
 
 def test_amplify_click_list_applies_to_both_stages(tmp_path):

@@ -75,6 +75,14 @@ def test_cutoff_errors():
         make_state("phase_diffused_tmsv", 6, omega=0.9)
 
 
+def test_coherent_amplitude_past_float_range_is_cutoff_error():
+    # |alpha|^2 = 1e308 keeps no weight below the cutoff; 1e310 used to
+    # escape as an OverflowError
+    for alpha in (1e154, 1e155):
+        with pytest.raises(CutoffError, match="weight below cutoff 8"):
+            make_state("coherent", 8, alpha=alpha)
+
+
 @pytest.mark.parametrize("nbar", [0.0, -0.0], ids=["zero", "negative_zero"])
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
 def test_thermal_at_zero_nbar_is_the_vacuum(d, nbar):

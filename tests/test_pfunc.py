@@ -190,6 +190,17 @@ def test_click_factor_validation():
         multiply_click_factor(huge, 0.5, 8, 4)
 
 
+@pytest.mark.parametrize("nbar", [1e308, 1e-310])
+@pytest.mark.parametrize("alpha0", [0j, 0.5j], ids=["thermal", "displaced_thermal"])
+def test_thermal_past_float_range_is_numerical_error(alpha0, nbar):
+    # 1/(pi nbar) used to be 0.0 at nbar = 1e308, so every click probability
+    # read 0.0; 1/nbar = inf at a subnormal nbar was a ValueError
+    with pytest.raises(NumericalError, match="float range"):
+        PhaseSpaceMixture.displaced_thermal(alpha0, nbar)
+    with pytest.raises(NumericalError, match="float range"):
+        PhaseSpaceMixture.thermal(nbar)
+
+
 def test_click_factor_coefficient_overflow_is_numerical_error():
     # finite, checked parameters whose expansion leaves the float range, so
     # not invalid parameters

@@ -450,21 +450,52 @@ def test_click_factor_past_float_range_is_numerical_error(p_in):
 
 
 DET1100 = DetectorConfig(1100, 0.5)
-CLOSED_FORMS_1100 = {
+# C(1100, 550) ~ 1e329 is no float, nor is |alpha|^2 = 1e310 at an amplitude
+# of 1e155; the closed forms leaked an OverflowError on each
+CLOSED_FORMS_PAST_FLOAT_RANGE = {
     "subtraction": lambda: probability_subtraction_displaced_thermal(
         0.5, 0.5, SubtractionSpec(BS07, DET1100, 550)),
     "addition": lambda: probability_addition_displaced_thermal(
         0.5, 0.5, AdditionSpec(SqueezerConfig.from_mu(1.2), DET1100, 550)),
     "amplifier": lambda: amplify_closed_form(0.5, AmplifySpec(
         AdditionSpec(SqueezerConfig.from_mu(1.2), DET1100, 550), SubtractionSpec(BS07, DET1100, 550))),
+    "subtraction_amplitude": lambda: probability_subtraction_displaced_thermal(
+        1e155, 0.5, SubtractionSpec(BS07, DET4, 1)),
+    "addition_amplitude": lambda: probability_addition_displaced_thermal(
+        1e155, 0.5, AdditionSpec(SQ14, DET4, 1)),
+    "amplifier_amplitude": lambda: amplify_closed_form(1e155, amplify_spec(1, 1)),
 }
 
 
-@pytest.mark.parametrize("closed_form", CLOSED_FORMS_1100.values(), ids=CLOSED_FORMS_1100.keys())
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS_PAST_FLOAT_RANGE.values(),
+                         ids=CLOSED_FORMS_PAST_FLOAT_RANGE.keys())
 def test_closed_form_past_float_range_is_numerical_error(closed_form):
-    # C(1100, 550) ~ 1e329 is no float; the closed forms leaked an OverflowError
     with pytest.raises(NumericalError, match="float range"):
         closed_form()
+
+
+@pytest.mark.parametrize("make", [lambda: SqueezerConfig(800.0), lambda: SqueezerConfig(400.0),
+                                  lambda: SqueezerConfig.from_mu(1e160)],
+                         ids=["xi800", "xi400", "mu1e160"])
+def test_pair_source_past_float_range_is_numerical_error(make):
+    # finite, checked optics: cosh(800) used to escape as an OverflowError from
+    # SqueezerConfig.mu, and mu^2 at xi = 400 or mu = 1e160 as a ValueError
+    # on a zero inverse width in convolve_noise
+    with pytest.raises(NumericalError, match=r"mu\^2 leaves the float range"):
+        make()
+
+
+@pytest.mark.parametrize("t,eta", [(1e-155, 0.5), (1e-170, 0.5), (1e-170, 0.0)])
+def test_beam_splitter_past_float_range_is_numerical_error(t, eta):
+    # eta r^2/t^2 = 1e-100 held and still does; at t = 1e-155 it is past the
+    # float range and subtraction used to give probability 0.0, and at
+    # t = 1e-170 t^2 is 0.0, a ZeroDivisionError or a zero-width ValueError
+    det = DetectorConfig(4, eta)
+    lossy = SubtractionSpec(BeamSplitterConfig(1e-100), det, 1)
+    assert subtract(PhaseSpaceMixture.coherent(1.0), lossy).probability == pytest.approx(
+        0.32303 if eta else 0.0, abs=1e-5)
+    with pytest.raises(NumericalError, match=r"t\^2 leaves the float range"):
+        SubtractionSpec(BeamSplitterConfig(t), det, 1)
 
 
 def test_amplify_negativity_grows_with_addition_clicks():
