@@ -25,11 +25,12 @@ peaks near 90 MB RSS in both formats (268 MB as CSV and 151 MB as JSON).
 Exit codes: 0 success, 1 config parse error, 2 invalid parameters (e.g. an
 amplify addition stage at eta = 1 on a coherent input, or an output directory
 or file that cannot be made), 3 numerical failure (``NumericalError``, of which
-``CutoffError`` is one kind: a result failed a sanity check, a coefficient or a
-value derived from the optics or the input left the float range, or a cutoff
-cannot hold its tail tolerance).  A run that its runner refuses creates no
-``--out``.  A run that fails while it writes removes every file it wrote, an
-overwritten one too, and may leave its new ``--out``.
+``CutoffError`` is one kind: a result failed a sanity check, a coefficient, an
+inverse width, a centre or another value derived from the optics or the input
+left the float range, or a cutoff cannot hold its tail tolerance).  A run that
+its runner refuses creates no ``--out``.  A run that fails while it writes
+removes every file it wrote, an overwritten one too, and may leave its new
+``--out``.
 """
 
 from __future__ import annotations
@@ -120,37 +121,29 @@ def _texts(values, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     return texts, inverse
 
 
-def _json_array(values: np.ndarray, depth: int, fmt: str) -> Iterator[str]:
-    """The pieces of ``values.tolist()`` laid out as ``json.dumps(...,
-    indent=1)`` lays it out at nesting ``depth``, each cell's text by
-    ``_texts`` in ``fmt``: ``_CHUNK`` cells of a row per piece."""
+def _json_array(values: np.ndarray) -> Iterator[str]:
+    """The pieces of a flat ``values`` laid out as ``_json_pieces`` lays out a
+    top-level list, each cell's text the JSON encoder's by ``_texts``:
+    ``_CHUNK`` cells per piece."""
     if not len(values):
         yield "[]"
         return
-    pad = "\n" + " " * (depth + 1)
-    sep = "," + pad
-    yield "[" + pad
-    if values.ndim > 1:
-        for i, row in enumerate(values):
-            yield sep if i else ""
-            yield from _json_array(row, depth + 1, fmt)
-    else:
-        texts, inverse = _texts(values, fmt)
-        for start in range(0, len(values), _CHUNK):
-            yield sep if start else ""
-            yield sep.join(texts[inverse[start : start + _CHUNK]].tolist())
-    yield "\n" + " " * depth + "]"
+    texts, inverse = _texts(values, "json")
+    yield "[\n  "
+    for start in range(0, len(values), _CHUNK):
+        yield ",\n  " if start else ""
+        yield ",\n  ".join(texts[inverse[start : start + _CHUNK]].tolist())
+    yield "\n ]"
 
 
-def _json_pieces(payload: dict, **formats: str) -> Iterator[str]:
+def _json_pieces(payload: dict) -> Iterator[str]:
     """The pieces of ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``,
-    where each top-level numpy array is laid out by ``_json_array`` in the
-    format ``formats`` gives its key, else ``"json"``."""
+    where each top-level numpy array, flat, is streamed by ``_json_array``."""
     yield "{"
     for i, (key, value) in enumerate(sorted(payload.items())):
         yield f"{',' if i else ''}\n {json.dumps(key)}: "
         if isinstance(value, np.ndarray):
-            yield from _json_array(value, 1, formats.get(key, "json"))
+            yield from _json_array(value)
         else:
             yield json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
     yield "\n}\n"
@@ -441,10 +434,10 @@ def _run_amplify(config: dict, fmt: str, grid) -> tuple[Iterable[_File], dict]:
         columns = {"k1": k1, "k2": k2, "probability": table.ravel(), "percent": percent.ravel()}
         table_file = _distribution_file("probability_table", fmt, columns)
     else:
-        # each percent cell is the JSON string of its CSV text
-        payload = {"N1": det1.N, "N2": det2.N, "probabilities": table, "percent": percent}
+        # (N1 + 1) x (N2 + 1) rows, encoded whole; each percent cell is its CSV text
+        percent_rows = [[_COLUMN_FORMATS["percent"] % v for v in row] for row in percent.tolist()]
         table_file = "probability_table.json", _json_pieces(
-            payload, percent='"%s"' % _COLUMN_FORMATS["percent"])
+            {"N1": det1.N, "N2": det2.N, "probabilities": table.tolist(), "percent": percent_rows})
 
     # each (k1, k2) outcome is computed when its files are written, one at a time
     outcomes = ((f"k{k1}_{k2}", amplify(beta, AmplifySpec(replace(spec.add, k=k1),

@@ -127,6 +127,22 @@ def _expm_tridiagonal(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarr
     return q @ y
 
 
+def _displaced_thermal_kept(r: float, nbar: float, d: int) -> float:
+    """The weight below cutoff d of the displaced thermal state at |alpha| = r
+    and nbar > 0, from its Glauber-Lachs photon distribution p(n) = nbar^n
+    (1+nbar)^-(n+1) e^(-r^2/(1+nbar)) sum_k C(n, k) y^k / k!, y = r^2 /
+    (nbar (1+nbar)): positive terms, each summed from its logarithm, so no
+    |alpha|^2 leaves the float range on the way to it."""
+    n = np.arange(d)[:, None]
+    k = np.arange(d if r else 1)  # at alpha = 0 only k = 0 holds weight
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
+    log_nbar, log_1p = math.log(nbar), math.log1p(nbar)
+    log_y = 2 * math.log(r or 1.0) - log_nbar - log_1p
+    logs = (n * log_nbar - (n + 1) * log_1p - r * r / (1 + nbar)
+            + log_fact[n] - 2 * log_fact[k] - log_fact[np.maximum(n - k, 0)] + k * log_y)
+    return float(np.exp(logs[k <= n]).sum())
+
+
 def make_state(
     kind: str,
     cutoff: int,
@@ -177,7 +193,7 @@ def make_state(
         norm = float(np.vdot(amps, amps).real)
         if norm < 1.0 - tail_tol:
             raise CutoffError(
-                f"coherent |alpha|={abs(alpha):.4g} keeps only {norm:.12f} of its "
+                f"coherent |alpha|={abs(alpha):.4g} keeps only {norm:.12g} of its "
                 f"weight below cutoff {d}"
             )
         return _readonly(np.outer(amps, amps.conj()))
@@ -192,16 +208,15 @@ def make_state(
         # the work basis keeps its own 1e-14 guard, whatever tail_tol is
         probs = geometric_weights(nbar / (nbar + 1.0), work, 1e-14,
                                   f"{name} at cutoff {d} in its {work}-level work basis")
+        kept = _displaced_thermal_kept(abs(alpha), nbar, d)
+        if kept < 1.0 - tail_tol:
+            raise CutoffError(f"{name} keeps only {kept:.12g} below cutoff {d}")
         # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a) and
         # D(|alpha|) real; its kept rows are the first columns of D(|alpha|)^T
         # = D(-|alpha|)
         rot = np.exp(1j * np.angle(alpha) * np.arange(d))
         disp = _expm_tridiagonal(-abs(alpha) * np.sqrt(np.arange(1.0, work)), np.arange(d)).T
-        rho = rot[:, None] * ((disp * probs) @ disp.T) * rot.conj()
-        kept = float(np.trace(rho).real)
-        if kept < 1.0 - tail_tol:
-            raise CutoffError(f"{name} keeps only {kept:.12f} below cutoff {d}")
-        return _readonly(rho)
+        return _readonly(rot[:, None] * ((disp * probs) @ disp.T) * rot.conj())
     # phase_diffused_tmsv
     if not 0.0 < omega < 1.0:
         raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")

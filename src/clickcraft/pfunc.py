@@ -25,6 +25,7 @@ regularizes them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,14 +77,18 @@ class PhaseSpaceMixture(NamedTuple):
     @classmethod
     def from_fields(cls, c, z, a, dc=(), dz=(), dropped: float = 0.0) -> "PhaseSpaceMixture":
         """Mixture of these fields (equal lengths per term kind); ValueError unless every
-        inverse width is finite and > 0, NumericalError unless every coefficient is finite."""
+        inverse width is > 0, NumericalError unless every inverse width and coefficient
+        is finite: a map derives them from finite inputs, so past the float range they
+        are a numerical failure."""
         mixture = cls(tuple(c), tuple(z), tuple(a), tuple(dc), tuple(dz), dropped)
         if not (len(mixture.c) == len(mixture.z) == len(mixture.a)
                 and len(mixture.dc) == len(mixture.dz)):
             raise ValueError("each term kind needs fields of equal length")
         for width in mixture.a:
             if not 0 < width < math.inf:
-                raise ValueError(f"inverse width must be positive and finite, got a={width}")
+                if width == math.inf:
+                    raise NumericalError("inverse width leaves the float range")
+                raise ValueError(f"inverse width must be positive, got a={width}")
         if not (all(map(math.isfinite, mixture.c)) and all(map(math.isfinite, mixture.dc))):
             raise NumericalError("coefficient must be finite")
         return mixture
@@ -182,6 +187,9 @@ def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> Phase
         cs.append(c / (math.pi * variance))
         zs.append(gain * z)
         widths.append(1.0 / variance)
+    # only the noise map's gain mu > 1 can carry a finite centre past the float range
+    if gain > 1 and not all(map(cmath.isfinite, zs)):
+        raise NumericalError("centre leaves the float range")
     return PhaseSpaceMixture.from_fields(cs, zs, widths, dropped=mixture.dropped)
 
 

@@ -238,7 +238,7 @@ def _past_float_range(protocol, optics, inp=None):
 
 # finite, checked parameters whose derived values leave the float range: each
 # used to end in a traceback, exit 2 on a zero or infinite inverse width, or
-# exit 0 with every probability 0.0
+# exit 0 with every probability 0.0 (the noise centre's with NaN centres)
 PAST_FLOAT_RANGE = {
     "add_xi_800": _past_float_range("add", {"xi": 800}),
     "add_xi_400": _past_float_range("add", {"xi": 400}),
@@ -251,6 +251,12 @@ PAST_FLOAT_RANGE = {
     "amplify_t_1e-170": _past_float_range("amplify", {"t": 1e-170}),
     "subtract_nbar_1e308": _past_float_range("subtract", {"t": 0.5},
                                              {"kind": "thermal", "nbar": 1e308}),
+    "subtract_loss_width": _past_float_range("subtract", {"t": 1e-150},
+                                             {"kind": "thermal", "nbar": 1e-10}),
+    "subtract_click_factor_width": _past_float_range("subtract", {"t": 1e-154},
+                                                     {"kind": "thermal", "nbar": 0.7}),
+    "add_noise_centre": {**_past_float_range("add", {"mu": 1.5},
+                                             {"kind": "coherent", "alpha": 1.5e308}), "clicks": 3},
     "clickstats_alpha_1e155": {"schema": 1, "protocol": "clickstats",
                                "input": {"kind": "coherent", "alpha": 1e155, "cutoff": 8},
                                "detector": {"N": 4, "eta": 0.5}},
@@ -1234,6 +1240,30 @@ def test_distribution_writer_matches_per_cell_formatting(tmp_path, fmt, length, 
         name, pieces = _distribution_file(f"d{stem}", fmt, columns)
         _write(tmp_path / name, pieces)
         assert (tmp_path / name).read_bytes() == reference_distribution(fmt, columns).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_amplifier_table_file_matches_per_cell_formatting(tmp_path, monkeypatch, fmt):
+    # a 7 x 4 table of special values, its first cells' percents rounding at
+    # the second decimal, through the amplify runner's own table writer
+    table = special_values(28, 9)
+    table[:len(PERCENT_VALUES)] = np.asarray(PERCENT_VALUES) / 100
+    table = table.reshape(7, 4)
+    monkeypatch.setattr("clickcraft.cli.probability_table", lambda spec, beta: table)
+    payload = json.loads((CONFIGS / "table1.json").read_text())
+    payload["addition"]["detector"]["N"], payload["subtraction"]["detector"]["N"] = 6, 3
+    cfg = write_config(tmp_path, payload)
+    assert main(["amplify", "--config", cfg, "--out", str(tmp_path), "--format", fmt]) == 0
+    if fmt == "csv":
+        rows = [["k1", "k2", "probability", "percent"]] + [
+            [str(k1), str(k2), f"{p:.17g}", f"{100.0 * p:.2f}"]
+            for k1, row in enumerate(table.tolist()) for k2, p in enumerate(row)]
+        expected = reference_csv(rows)
+    else:
+        expected = reference_json({"N1": 6, "N2": 3, "probabilities": table.tolist(),
+                                   "percent": [[f"{100.0 * p:.2f}" for p in row]
+                                               for row in table.tolist()]})
+    assert (tmp_path / f"probability_table.{fmt}").read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,6 +1,7 @@
 """Truncated-Fock oracle: constructors, unitaries, conditioning, moments."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -111,6 +112,22 @@ def test_displaced_thermal_cutoff_error_names_the_kept_weight():
     # the work basis holds the state; the cutoff keeps a third of its trace
     with pytest.raises(CutoffError, match=r"nbar=0\.1\) keeps only 0\.3338\d* below cutoff 8"):
         make_state("displaced_thermal", 8, alpha=3, nbar=0.1)
+
+
+# the weight below cutoff 8 at nbar = 0.5, by a 50-digit Glauber-Lachs sum;
+# the 2d + 32-level work basis, which |alpha|^2 outgrows, quoted 5.5e-6 at
+# alpha = 8, 0.056 at 10, 4.7e-6 at 20 and 0.41 at 1e154
+GLAUBER_LACHS_KEPT = {3: 0.3535871678996, 8: 1.2676404593826e-12, 10: 8.34611343236907e-22,
+                      20: 1.30350135146257e-104, 1e154: 0.0}
+
+
+@pytest.mark.parametrize("alpha,kept", GLAUBER_LACHS_KEPT.items(), ids=map(str, GLAUBER_LACHS_KEPT))
+def test_displaced_thermal_cutoff_error_quotes_the_true_kept_weight(alpha, kept):
+    with pytest.raises(CutoffError) as info:
+        make_state("displaced_thermal", 8, alpha=alpha, nbar=0.5)
+    quoted = re.fullmatch(r".* keeps only (\S+) below cutoff 8", str(info.value))
+    # about 10^(-2.9e307) at alpha = 1e154: zero or a subnormal
+    assert float(quoted.group(1)) == pytest.approx(kept, rel=1e-6, abs=1e-300)
 
 
 @pytest.mark.parametrize("tol", [None, 1.0], ids=["default", "guard_off"])

@@ -498,6 +498,25 @@ def test_beam_splitter_past_float_range_is_numerical_error(t, eta):
         SubtractionSpec(BeamSplitterConfig(t), det, 1)
 
 
+# finite, checked inputs whose phase-space maps derive an inverse width past
+# the float range: the loss map's a/t^2 and the click factor's a + eta_eff
+# used to raise a ValueError on the infinite width (exit 2), where nbar = 1 at
+# t = 1e-154 raised a NumericalError on a coefficient
+@pytest.mark.parametrize("nbar,t", [(1e-10, 1e-150), (0.7, 1e-154)],
+                         ids=["loss_width", "click_factor_width"])
+def test_derived_inverse_width_past_float_range_is_numerical_error(nbar, t):
+    spec = SubtractionSpec(BeamSplitterConfig(t), DET4, 0)
+    with pytest.raises(NumericalError, match="inverse width leaves the float range"):
+        subtract(PhaseSpaceMixture.thermal(nbar), spec)
+
+
+def test_derived_centre_past_float_range_is_numerical_error():
+    # the noise map's centre mu alpha used to give probability 0.0 and NaN centres
+    spec = AdditionSpec(SQ15, DET4, 3)
+    with pytest.raises(NumericalError, match="centre leaves the float range"):
+        add(PhaseSpaceMixture.coherent(1.5e308), spec)
+
+
 def test_amplify_negativity_grows_with_addition_clicks():
     # conditioned outputs develop negative fringes once k1 >= 1
     r = np.linspace(0, 4, 2001).astype(complex)
