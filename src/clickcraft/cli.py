@@ -18,9 +18,8 @@ A file's text is made as it is written, a CSV grid row or a chunk of cells
 at a time, so a writer holds the distinct texts of one array, its index
 into them and one row, not a multiple of the file.  On a 301 x 301 grid of
 distinct values, a grid file's tracemalloc peak is about 94 bytes per cell
-as CSV or JSON (256 and 137 when each file was built whole), and
-``clickcraft subtract`` with fig3's optics at k = 3 on a 1001 x 1001 grid
-peaks near 90 MB RSS in both formats (268 MB as CSV and 151 MB as JSON).
+as CSV or JSON, and ``clickcraft subtract`` with fig3's optics at k = 3 on a
+1001 x 1001 grid peaks near 90 MB RSS in both formats.
 
 Exit codes: 0 success, 1 config parse error, 2 invalid parameters (e.g. an
 amplify addition stage at eta = 1 on a coherent input, or an output directory

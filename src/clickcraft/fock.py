@@ -4,7 +4,10 @@ Everything here is brute force on a finite photon-number basis |0..d-1> and
 serves as the independent cross-check for the closed-form phase-space
 pipeline.  A one-mode state is a read-only (d, d) complex array; a
 conditioned one is unnormalized, its trace the probability of the
-conditioning event.  Two-mode states are weighted ket ensembles,
+conditioning event.  A displaced thermal state is D(alpha) applied to
+thermal weights on a 2d + 32-level work basis.  At nbar = 0, the coherent
+state D(alpha)|0>, its amplitudes come from their ratios on that basis, each
+to a few ulp of itself, in O(d).  Two-mode states are weighted ket ensembles,
 rho = sum_j w_j |psi_j><psi_j|: n d^2 amplitudes for n kets rather than d^4
 matrix entries.  Each optical element is one generator, coupling (p, r) to
 (p+1, r+dr): dr = -1 for the beam splitter (total photon number conserved),
@@ -129,15 +132,20 @@ def _expm_tridiagonal(s: np.ndarray, cols: np.ndarray | None = None) -> np.ndarr
 
 def _displaced_thermal_kept(r: float, nbar: float, d: int) -> float:
     """The weight below cutoff d of the displaced thermal state at |alpha| = r
-    and nbar > 0, from its Glauber-Lachs photon distribution p(n) = nbar^n
+    and nbar >= 0, from its Glauber-Lachs photon distribution p(n) = nbar^n
     (1+nbar)^-(n+1) e^(-r^2/(1+nbar)) sum_k C(n, k) y^k / k!, y = r^2 /
-    (nbar (1+nbar)): positive terms, each summed from its logarithm, so no
-    |alpha|^2 leaves the float range on the way to it."""
+    (nbar (1+nbar)), or at nbar = 0 the Poisson law e^(-r^2) r^(2n) / n!:
+    positive terms, each summed from its logarithm, so no |alpha|^2 leaves
+    the float range on the way to it."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
+    log_r2 = 2 * math.log(r or 1.0)
+    if nbar == 0:
+        n = np.arange(d if r else 1)  # at alpha = 0 only n = 0 holds weight
+        return float(np.exp(n * log_r2 - r * r - log_fact[n]).sum())
     n = np.arange(d)[:, None]
     k = np.arange(d if r else 1)  # at alpha = 0 only k = 0 holds weight
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
     log_nbar, log_1p = math.log(nbar), math.log1p(nbar)
-    log_y = 2 * math.log(r or 1.0) - log_nbar - log_1p
+    log_y = log_r2 - log_nbar - log_1p
     logs = (n * log_nbar - (n + 1) * log_1p - r * r / (1 + nbar)
             + log_fact[n] - 2 * log_fact[k] - log_fact[np.maximum(n - k, 0)] + k * log_y)
     return float(np.exp(logs[k <= n]).sum())
@@ -158,7 +166,10 @@ def make_state(
     Kinds: ``vacuum``, ``fock`` (photon number n), ``coherent`` (amplitude
     alpha), ``thermal`` (mean photon number nbar), ``displaced_thermal``
     (alpha, nbar) and the two-mode ``phase_diffused_tmsv`` (pair-correlation
-    omega, diagonal (1-omega) sum omega^n |n,n><n,n|).
+    omega, diagonal (1-omega) sum omega^n |n,n><n,n|).  A coherent state is
+    the displaced thermal state at nbar = 0, the displaced vacuum, built in
+    O(d) from its amplitude ratios; nbar > 0 takes one real SVD of the
+    2d + 32-level work basis, O(d^3).
 
     Raises CutoffError when the truncated trace would fall below 1 - tail_tol,
     and ValueError for a keyword the kind does not read that is not 0, an n
@@ -179,52 +190,42 @@ def make_state(
         rho = np.zeros((d, d), dtype=complex)
         rho[n, n] = 1.0
         return _readonly(rho)
-    if kind in ("coherent", "thermal", "displaced_thermal"):
-        check_displaced_thermal(alpha, nbar)
-    if kind == "coherent":
-        amps = np.zeros(d, dtype=complex)
-        try:
-            amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-        except OverflowError:  # |alpha|^2 past the float range: no weight below any cutoff
-            raise CutoffError(f"coherent |alpha|={abs(alpha):.4g} keeps none of its weight "
-                              f"below cutoff {d}") from None
-        for m in range(1, d):
-            amps[m] = amps[m - 1] * alpha / math.sqrt(m)
-        norm = float(np.vdot(amps, amps).real)
-        if norm < 1.0 - tail_tol:
-            raise CutoffError(
-                f"coherent |alpha|={abs(alpha):.4g} keeps only {norm:.12g} of its "
-                f"weight below cutoff {d}"
-            )
-        return _readonly(np.outer(amps, amps.conj()))
+    if kind == "phase_diffused_tmsv":
+        if not 0.0 < omega < 1.0:
+            raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
+        weights = geometric_weights(omega, d, tail_tol, f"phase-diffused pair state omega={omega}")
+        kets = np.zeros((d, d, d), dtype=complex)
+        m = np.arange(d)
+        kets[m, m, m] = 1.0
+        return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
+    check_displaced_thermal(alpha, nbar)
+    # + 0.0 makes nbar = -0.0 a q of +0.0, whose weights are the vacuum's bits
+    q = nbar / (nbar + 1.0) + 0.0
     if kind == "thermal":
-        # + 0.0 makes nbar = -0.0 a q of +0.0, whose weights are the vacuum's bits
-        probs = geometric_weights(nbar / (nbar + 1.0) + 0.0, d, tail_tol, f"thermal nbar={nbar}")
+        probs = geometric_weights(q, d, tail_tol, f"thermal nbar={nbar}")
         return _readonly(np.diag(probs).astype(complex))
-    if kind == "displaced_thermal":
-        if nbar == 0:
-            return make_state("coherent", d, alpha=alpha, tail_tol=tail_tol)
-        name, work = f"displaced thermal (|alpha|={abs(alpha):.4g}, nbar={nbar})", 2 * d + 32
-        # the work basis keeps its own 1e-14 guard, whatever tail_tol is
-        probs = geometric_weights(nbar / (nbar + 1.0), work, 1e-14,
-                                  f"{name} at cutoff {d} in its {work}-level work basis")
-        kept = _displaced_thermal_kept(abs(alpha), nbar, d)
-        if kept < 1.0 - tail_tol:
-            raise CutoffError(f"{name} keeps only {kept:.12g} below cutoff {d}")
-        # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a) and
-        # D(|alpha|) real; its kept rows are the first columns of D(|alpha|)^T
-        # = D(-|alpha|)
-        rot = np.exp(1j * np.angle(alpha) * np.arange(d))
-        disp = _expm_tridiagonal(-abs(alpha) * np.sqrt(np.arange(1.0, work)), np.arange(d)).T
-        return _readonly(rot[:, None] * ((disp * probs) @ disp.T) * rot.conj())
-    # phase_diffused_tmsv
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"pair weight must satisfy 0 < omega < 1, got {omega}")
-    weights = geometric_weights(omega, d, tail_tol, f"phase-diffused pair state omega={omega}")
-    kets = np.zeros((d, d, d), dtype=complex)
-    m = np.arange(d)
-    kets[m, m, m] = 1.0
-    return TwoModeDensityMatrix(_readonly(weights), _readonly(kets))
+    r, work = abs(alpha), 2 * d + 32
+    name, weight = ((f"coherent |alpha|={r:.4g}", " of its weight") if nbar == 0 else
+                    (f"displaced thermal (|alpha|={r:.4g}, nbar={nbar})", ""))
+    # the work basis keeps its own 1e-14 guard, whatever tail_tol is
+    probs = geometric_weights(q, work, 1e-14, f"{name} at cutoff {d} in its {work}-level work basis")
+    kept = _displaced_thermal_kept(r, nbar, d)
+    if kept < 1.0 - tail_tol:
+        raise CutoffError(f"{name} keeps only {kept:.12g}{weight} below cutoff {d}")
+    # D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a)
+    rot = np.exp(1j * np.angle(alpha) * np.arange(d))
+    if nbar == 0:
+        # |<n|alpha>| outward from the largest, at n = m, by the ratios r/sqrt(n),
+        # then normalized on the work basis: each amplitude keeps its relative
+        # digits, and neither e^(-r^2/2) nor e^(r^2/2) is ever formed
+        m, s = int(min(r * r, work - 1)), np.sqrt(np.arange(1.0, work))
+        amps = np.concatenate((np.cumprod(s[:m][::-1] / r)[::-1], [1.0], np.cumprod(r / s[m:])))
+        amps = rot * amps[:d] / np.linalg.norm(amps)
+        return _readonly(np.outer(amps, amps.conj()))
+    # D(|alpha|) is real; its kept rows are the first columns of D(|alpha|)^T
+    # = D(-|alpha|)
+    disp = _expm_tridiagonal(-r * np.sqrt(np.arange(1.0, work)), np.arange(d)).T
+    return _readonly(rot[:, None] * ((disp * probs) @ disp.T) * rot.conj())
 
 
 def _ensemble(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

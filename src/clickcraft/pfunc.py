@@ -165,8 +165,8 @@ def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> Phase
     Integral-preserving.  At variance 0 a delta moves to gain z, a positive
     variance makes it a Gaussian of inverse width 1/variance, and a negative one
     (a deconvolution) rejects deltas.  Every d <= 0 is rejected; valid inputs
-    (a > 0) reach it only in a deconvolution.
-    """
+    (a > 0) reach it only in a deconvolution.  An a > 0 whose a/d underflows
+    to 0 is a NumericalError."""
     if variance < 0 and mixture.dc:
         raise ValueError("the smoothed representation cannot carry delta terms")
     cs, zs, widths = [], [], []
@@ -187,9 +187,13 @@ def _convolve(mixture: PhaseSpaceMixture, gain: float, variance: float) -> Phase
         cs.append(c / (math.pi * variance))
         zs.append(gain * z)
         widths.append(1.0 / variance)
-    # only the noise map's gain mu > 1 can carry a finite centre past the float range
+    # only the noise map's gain mu > 1 can carry a finite centre past the float
+    # range, or an a > 0 below it; an a <= 0 or NaN the caller gave is left to
+    # ``from_fields``
     if gain > 1 and not all(map(cmath.isfinite, zs)):
         raise NumericalError("centre leaves the float range")
+    if gain > 1 and 0.0 in widths and all(a > 0 for a in mixture.a):
+        raise NumericalError("inverse width leaves the float range")
     return PhaseSpaceMixture.from_fields(cs, zs, widths, dropped=mixture.dropped)
 
 

@@ -3,8 +3,9 @@ with click-detector conditioning, and their composition into a click-
 conditioned amplifier.
 
 Every operation returns the unnormalized conditional state together with its
-trace (= the probability of the conditioning event); normalization is a
-separate, explicit step via ``ProcessOutcome``.
+trace (= the probability of the conditioning event) as a ``ProcessOutcome``,
+which normalizes nothing; only ``HeraldedDistribution.normalized`` divides
+by the probability, for a heralded photon distribution.
 
 Subtraction taps the signal off a beam splitter and conditions the reflected
 arm; the surviving state undergoes the plain loss map and a pointwise

@@ -237,8 +237,9 @@ def _past_float_range(protocol, optics, inp=None):
 
 
 # finite, checked parameters whose derived values leave the float range: each
-# used to end in a traceback, exit 2 on a zero or infinite inverse width, or
-# exit 0 with every probability 0.0 (the noise centre's with NaN centres)
+# used to end in a traceback, exit 2 on a zero or infinite inverse width (the
+# noise width's a/(mu^2 + a (mu^2 - 1)) = 1e-607 underflowed to 0), or exit 0
+# with every probability 0.0 (the noise centre's with NaN centres)
 PAST_FLOAT_RANGE = {
     "add_xi_800": _past_float_range("add", {"xi": 800}),
     "add_xi_400": _past_float_range("add", {"xi": 400}),
@@ -255,6 +256,7 @@ PAST_FLOAT_RANGE = {
                                              {"kind": "thermal", "nbar": 1e-10}),
     "subtract_click_factor_width": _past_float_range("subtract", {"t": 1e-154},
                                                      {"kind": "thermal", "nbar": 0.7}),
+    "add_noise_width": _past_float_range("add", {"mu": 1e150}, {"kind": "thermal", "nbar": 1e307}),
     "add_noise_centre": {**_past_float_range("add", {"mu": 1.5},
                                              {"kind": "coherent", "alpha": 1.5e308}), "clicks": 3},
     "clickstats_alpha_1e155": {"schema": 1, "protocol": "clickstats",
@@ -296,6 +298,31 @@ def test_clickstats_vacuum(tmp_path):
     assert lines[0] == "k,probability"
     assert lines[1] == "0,1"
     assert [line.split(",")[1] for line in lines[2:]] == ["0", "0", "0", "0"]
+
+
+def test_clickstats_coherent_past_the_first_amplitude_underflow(tmp_path):
+    # exp(-|alpha|^2/2), which the coherent state's amplitudes were built
+    # from, is 0 above |alpha| = 38.59; at 38.5 the photon distribution
+    # summed to 1.035 and the run exited 2
+    cfg = write_config(tmp_path, {"schema": 1, "protocol": "clickstats",
+                                  "input": {"kind": "coherent", "alpha": 38.5, "cutoff": 1750},
+                                  "detector": {"N": 4, "eta": 0.5}})
+    assert main(["clickstats", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "click_distribution.csv").read_text().splitlines()[1:]
+    assert math.fsum(float(line.split(",")[1]) for line in lines) == pytest.approx(1, abs=1e-10)
+
+
+def test_clickstats_coherent_click_distribution_keeps_relative_digits(tmp_path):
+    # each of the N = 4 detectors sees a coherent state of mean x = eta |alpha|^2 / N,
+    # so P(k) = C(N, k) (1 - e^-x)^k e^(-x (N - k)); P(0) = e^(-112.5) = 1.4e-49
+    cfg = write_config(tmp_path, {"schema": 1, "protocol": "clickstats",
+                                  "input": {"kind": "coherent", "alpha": 15, "cutoff": 400},
+                                  "detector": {"N": 4, "eta": 0.5}})
+    assert main(["clickstats", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "click_distribution.csv").read_text().splitlines()[1:]
+    x = 0.5 * 15**2 / 4
+    expect = [math.comb(4, k) * (-math.expm1(-x)) ** k * math.exp(-x * (4 - k)) for k in range(5)]
+    assert [float(line.split(",")[1]) for line in lines] == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_clickstats_accepts_explicit_distribution(tmp_path):

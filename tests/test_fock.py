@@ -84,6 +84,44 @@ def test_coherent_amplitude_past_float_range_is_cutoff_error():
             make_state("coherent", 8, alpha=alpha)
 
 
+def test_coherent_is_the_displaced_vacuum():
+    rho = make_state("coherent", 40, alpha=-1.2 + 0.7j)
+    assert rho.tobytes() == make_state("displaced_thermal", 40, alpha=-1.2 + 0.7j, nbar=0).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1 / math.sqrt(2), 0.8 + 0.3j, -1.2 + 0.7j])
+@pytest.mark.parametrize("d", [24, 32, 48, 56, 64])
+def test_coherent_matches_poisson_amplitudes(d, alpha):
+    amps = np.array([math.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n))
+                     for n in range(d)], dtype=complex)
+    assert abs(make_state("coherent", d, alpha=alpha) - np.outer(amps, amps.conj())).max() < 2e-15
+
+
+def poisson_kept(r, d):
+    """The Poisson weight e^(-r^2) r^(2n) / n! below cutoff d, as 1 minus its
+    tail, each tail term from math.lgamma."""
+    return 1.0 - math.fsum(math.exp(2 * n * math.log(r) - r * r - math.lgamma(n + 1))
+                           for n in range(d, d + 1000))
+
+
+def test_coherent_photon_distribution_keeps_relative_digits():
+    # p_0 = e^(-225) = 1.9e-98: an amplitude accurate only to 1e-16 in
+    # absolute terms would put p_0 near 1e-32
+    r, d = 15.0, 400
+    p = photon_distribution(make_state("coherent", d, alpha=r))
+    poisson = [math.exp(2 * n * math.log(r) - r * r - math.lgamma(n + 1)) for n in range(d)]
+    assert p == pytest.approx(poisson, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("alpha,d", [(38.5, 1750), (39.0, 2000)], ids=["38.5", "39"])
+def test_coherent_past_the_first_amplitude_underflow(alpha, d):
+    # exp(-|alpha|^2/2), which the amplitude recursion started from, is
+    # subnormal above |alpha| = 37.64 and 0 above 38.59: the trace at 38.5
+    # was 1.035, and 39 raised a CutoffError "keeps only 0"
+    trace = np.trace(make_state("coherent", d, alpha=alpha)).real
+    assert abs(trace - poisson_kept(alpha, d)) < 1e-12
+
+
 @pytest.mark.parametrize("nbar", [0.0, -0.0], ids=["zero", "negative_zero"])
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
 def test_thermal_at_zero_nbar_is_the_vacuum(d, nbar):

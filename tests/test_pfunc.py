@@ -696,6 +696,18 @@ def test_negative_or_infinite_width_rejected_by_from_fields_and_every_map(a):
             apply(unchecked)
 
 
+def test_positive_width_below_float_range_is_numerical_error():
+    # a/(mu^2 + a (mu^2 - 1)) = 1e-607 at a = 1e-307 and mu = 1e150
+    thermal = PhaseSpaceMixture.thermal(1e307)
+    with pytest.raises(NumericalError, match="inverse width leaves the float range"):
+        convolve_noise(thermal, 1e150)
+    # a zero width that the caller gave stays an invalid parameter
+    given = PhaseSpaceMixture(c=(1.0, *thermal.c), z=(0j, 0j), a=(0.0, *thermal.a))
+    with pytest.raises(ValueError, match="inverse width must be positive") as info:
+        convolve_noise(given, 1e150)
+    assert not isinstance(info.value, NumericalError)
+
+
 UNEQUAL_FIELDS = {
     "c": ((1.0, 2.0), (0j,), (1.0, 1.0), (), ()),
     "z": ((1.0,), (0j, 1j), (1.0,), (), ()),

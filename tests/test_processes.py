@@ -510,6 +510,14 @@ def test_derived_inverse_width_past_float_range_is_numerical_error(nbar, t):
         subtract(PhaseSpaceMixture.thermal(nbar), spec)
 
 
+def test_derived_inverse_width_below_float_range_is_numerical_error():
+    # the noise map's a/(mu^2 + a (mu^2 - 1)) = 1e-607 at nbar = 1e307 and
+    # mu = 1e150 underflows to 0, which used to be a ValueError (exit 2)
+    spec = AdditionSpec(SqueezerConfig.from_mu(1e150), DET4, 1)
+    with pytest.raises(NumericalError, match="inverse width leaves the float range"):
+        add(PhaseSpaceMixture.thermal(1e307), spec)
+
+
 def test_derived_centre_past_float_range_is_numerical_error():
     # the noise map's centre mu alpha used to give probability 0.0 and NaN centres
     spec = AdditionSpec(SQ15, DET4, 3)
