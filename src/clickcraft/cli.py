@@ -19,7 +19,11 @@ at a time, so a writer holds the distinct texts of one array, its index
 into them and one row, not a multiple of the file.  On a 301 x 301 grid of
 distinct values, a grid file's tracemalloc peak is about 94 bytes per cell
 as CSV or JSON, and ``clickcraft subtract`` with fig3's optics at k = 3 on a
-1001 x 1001 grid peaks near 90 MB RSS in both formats.
+1001 x 1001 grid peaks near 90 MB RSS in both formats.  An existing output
+is rewritten in place and cut only where the old file was longer, so on
+ext4 and similar file systems a rerun into the same ``--out`` reuses the
+blocks of a file whose length is unchanged (a copy-on-write file system
+such as btrfs or ZFS allocates new ones anyway).
 
 Exit codes: 0 success, 1 config parse error, 2 invalid parameters (e.g. an
 amplify addition stage at eta = 1 on a coherent input, or an output directory
@@ -29,7 +33,11 @@ inverse width, a centre or another value derived from the optics or the input
 left the float range, or a cutoff cannot hold its tail tolerance).  A run that
 its runner refuses creates no ``--out``.  A run that fails while it writes
 removes every file it wrote, an overwritten one too, and may leave its new
-``--out``.
+``--out``.  A run killed while it writes removes nothing: the file it was
+writing holds the bytes written so far followed by whatever of the old file
+lies past them, where a truncating writer would leave those bytes alone;
+neither is a complete output.  Such a file can parse cleanly and still be
+wrong, so after a killed run the whole ``--out`` must be written again.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, replace
@@ -85,14 +94,33 @@ _File = tuple[str, Iterator[str]]
 
 def _write(path: Path, pieces: Iterable[str]) -> None:
     """Write the text ``pieces`` to ``path`` as they are produced (UTF-8, LF
-    endings).  A file that cannot be written is an invalid parameter that
-    names it.  A file that fails partway is removed; a path that could not
-    be opened is left as it was."""
+    endings).  An existing file is rewritten in place, not truncated first:
+    it is cut at the end of the new bytes only where it extends past them,
+    so a rerun of the same length makes no truncate call.  A file
+    that cannot be written is an invalid parameter that names it.  A file
+    that fails partway is removed; a path that could not be opened is left
+    as it was.  A process killed while it writes leaves the bytes written so
+    far followed by whatever of the old file lies past them, where a
+    truncating writer would leave those bytes alone; neither is a complete
+    output, and the first can look like one."""
     try:
-        out = open(path, "w", encoding="utf-8", newline="\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            out = open(fd, "w", encoding="utf-8", newline="\n")
+        except BaseException:
+            os.close(fd)
+            raise
         try:
             with out:
                 out.writelines(pieces)
+                out.flush()
+                # a FIFO and a character device such as /dev/null report size
+                # 0, and ftruncate on them fails, so only a longer file is
+                # cut; the size test comes first because lseek on a FIFO
+                # fails too (ESPIPE)
+                size = os.fstat(fd).st_size
+                if size and size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                    os.ftruncate(fd, end)
         except BaseException:
             path.unlink(missing_ok=True)
             raise

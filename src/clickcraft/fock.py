@@ -136,9 +136,16 @@ def _displaced_thermal_kept(r: float, nbar: float, d: int) -> float:
     (1+nbar)^-(n+1) e^(-r^2/(1+nbar)) sum_k C(n, k) y^k / k!, y = r^2 /
     (nbar (1+nbar)), or at nbar = 0 the Poisson law e^(-r^2) r^(2n) / n!:
     positive terms, each summed from its logarithm, so no |alpha|^2 leaves
-    the float range on the way to it."""
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
+    the float range on the way to it.  Past the Poisson mode (d > r^2) the
+    weight is 1 minus the falling tail over n >= d, summed until a term is
+    below 2^-53 of the tail, so a weight near 1 keeps the tail's digits."""
     log_r2 = 2 * math.log(r or 1.0)
+    if nbar == 0 and 0 < r * r < d:
+        tail, n = 0.0, d
+        while (term := math.exp(n * log_r2 - r * r - math.lgamma(n + 1.0))) > tail * 2**-53:
+            tail, n = tail + term, n + 1
+        return 1.0 - tail
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(d)])
     if nbar == 0:
         n = np.arange(d if r else 1)  # at alpha = 0 only n = 0 holds weight
         return float(np.exp(n * log_r2 - r * r - log_fact[n]).sum())

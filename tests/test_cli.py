@@ -4,7 +4,10 @@ import argparse
 import errno
 import json
 import math
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -125,10 +128,14 @@ def test_write_that_fails_partway_leaves_no_file(tmp_path):
         yield "re,im,value\n"
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    path = tmp_path / "grid.csv"
-    with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: No space left"):
-        _write(path, pieces())
-    assert not path.exists()
+    # a new file, and one written over an older, longer file, are removed
+    for name, old in [("new.csv", None), ("old.csv", "0,0,0.5\n" * 4096)]:
+        path = tmp_path / name
+        if old is not None:
+            path.write_text(old)
+        with pytest.raises(ValueError, match=f"^cannot write {re.escape(str(path))}: No space left"):
+            _write(path, pieces())
+        assert not path.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -1130,6 +1137,59 @@ def test_shipped_configs_run(tmp_path, name, protocol):
     rc = main([protocol, "--config", str(CONFIGS / name), "--out", str(tmp_path)])
     assert rc == 0
     assert any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_over_larger_output_writes_a_fresh_runs_bytes(tmp_path, fmt):
+    # each output is rewritten in place and cut at the end of its new bytes
+    fig3 = ["subtract", "--config", str(CONFIGS / "fig3.json"), "--format", fmt, "--manifest"]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main([*fig3, "--out", str(rerun), "--grid=-2.5,2.5,-2.5,2.5,301,301"]) == 0
+    larger = {p.name: p.stat().st_size for p in rerun.iterdir()}
+    assert main([*fig3, "--out", str(rerun)]) == 0
+    assert main([*fig3, "--out", str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in rerun.iterdir()) == names
+    assert all((rerun / n).read_bytes() == (fresh / n).read_bytes() for n in names)
+    assert any(larger[n] > (fresh / n).stat().st_size for n in names)
+
+
+def test_same_length_rerun_cuts_no_file(tmp_path, monkeypatch):
+    argv = [*ERRORBOUND, "--out", str(tmp_path), "--manifest"]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def ftruncate(fd, length):
+        raise AssertionError(f"cut to {length}")
+
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+def test_output_linked_to_dev_null_is_written(tmp_path):
+    # /dev/null reports size 0, and ftruncate on it fails with EINVAL
+    (tmp_path / "summary.json").symlink_to("/dev/null")
+    argv = ["subtract", "--config", str(CONFIGS / "fig3.json"), "--grid=-1,1,-1,1,3,3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.json").is_symlink()
+    assert (tmp_path / "summary.json").resolve() == Path("/dev/null").resolve()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_write_to_a_fifo_leaves_the_fifo(tmp_path):
+    # a FIFO reports size 0, and lseek on it fails with ESPIPE, so the
+    # writer must not ask for its offset
+    path = tmp_path / "grid.csv"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()))
+    reader.start()
+    _write(path, ["re,im,value\n", "0,0,0.5\n"])
+    reader.join(timeout=10)
+    assert received == [b"re,im,value\n0,0,0.5\n"]
+    assert stat.S_ISFIFO(path.lstat().st_mode)
 
 
 def test_csv_files_use_lf_endings(tmp_path):

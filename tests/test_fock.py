@@ -24,7 +24,7 @@ from clickcraft import (
     tensor_product,
     trace_out_detector_mode,
 )
-from clickcraft.fock import _expm_tridiagonal
+from clickcraft.fock import _displaced_thermal_kept, _expm_tridiagonal
 
 
 def coherent_vacuum(alpha, d):
@@ -120,6 +120,19 @@ def test_coherent_past_the_first_amplitude_underflow(alpha, d):
     # was 1.035, and 39 raised a CutoffError "keeps only 0"
     trace = np.trace(make_state("coherent", d, alpha=alpha)).real
     assert abs(trace - poisson_kept(alpha, d)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,d", [(38.5, 1750), (20.0, 480), (5.0, 60), (3.0, 12)])
+def test_coherent_kept_weight_near_one_keeps_its_tail_digits(alpha, d):
+    # at (38.5, 1750) a running sum of log n for the log-factorials gave
+    # 0.99999999999731, and math.lgamma terms summed up to the cutoff
+    # 0.99999999999317
+    assert abs(_displaced_thermal_kept(alpha, 0.0, d) - poisson_kept(alpha, d)) < 1e-15
+
+
+def test_coherent_kept_weight_near_one_matches_its_40_digit_value():
+    # 0.999999999992680757 is the 40-digit value at |alpha| = 38.5, d = 1750
+    assert abs(_displaced_thermal_kept(38.5, 0.0, 1750) - 0.999999999992680757) < 1e-15
 
 
 @pytest.mark.parametrize("nbar", [0.0, -0.0], ids=["zero", "negative_zero"])
